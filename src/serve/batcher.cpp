@@ -1,14 +1,19 @@
 #include "serve/batcher.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
 
+#include "util/macros.hpp"
+
 namespace graffix::serve {
 
+static_assert(kMaxBatchLanes <= 32, "a unit's lane mask is one uint32_t");
+
 std::size_t GraphSnapshot::resident_bytes() const {
-  return graph.memory_bytes() + warp_order.size() * sizeof(NodeId) +
-         items.size() * sizeof(sim::WorkItem);
+  return graph.memory_bytes() + warp_order.size() * sizeof(NodeId);
 }
 
 std::shared_ptr<const GraphSnapshot> make_snapshot(
@@ -19,9 +24,6 @@ std::shared_ptr<const GraphSnapshot> make_snapshot(
   snap->version = version;
   snap->graph = std::move(graph);
   snap->warp_order = std::move(warp_order);
-  snap->items = snap->warp_order.empty()
-                    ? sim::items_all_vertices(snap->graph)
-                    : sim::items_per_vertex(snap->graph, snap->warp_order);
   return snap;
 }
 
@@ -68,35 +70,49 @@ std::vector<std::vector<std::size_t>> form_units(
   return units;
 }
 
-MultiSourceOutcome run_multi_source_on(sim::Engine& engine,
-                                       const GraphSnapshot& snap, QueryAlg alg,
-                                       std::span<const LaneSpec> lanes) {
+MultiSourceOutcome run_multi_source(const GraphSnapshot& snap, QueryAlg alg,
+                                    std::span<const LaneSpec> lanes) {
   MultiSourceOutcome out;
   const std::size_t lane_count = lanes.size();
   out.lanes.resize(lane_count);
   if (lane_count == 0) return out;
-  if (engine.in_sweep()) {
-    out.engine_busy = true;
-    return out;
-  }
+  GRAFFIX_CHECK(lane_count <= kMaxBatchLanes, "%zu lanes in one unit",
+                lane_count);
 
-  const std::size_t slots = snap.graph.num_slots();
+  const Csr& graph = snap.graph;
+  const std::size_t slots = graph.num_slots();
+  const std::span<const EdgeId> offsets = graph.offsets();
+  const std::span<const NodeId> targets = graph.targets();
+  const std::span<const Weight> weights = graph.weights();
+  const bool weighted = alg == QueryAlg::Sssp && !weights.empty();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto row_of = [lane_count](NodeId v) {
+    return static_cast<std::size_t>(v) * lane_count;
+  };
+
   // Lane-major planes: dist[slot * K + k]. One cache line serves all
-  // lanes of a vertex, which is what makes the K-wide functor cheap.
+  // lanes of a vertex. Every relaxation reads the round-stable `dist` and
+  // writes `next`; rows that improved are copied back after the round,
+  // so the two planes are equal at every round boundary.
   std::vector<double> dist(slots * lane_count, kInf);
+  // improved[v] marks the lanes whose value at v changed last round;
+  // `frontier` lists the vertices with a nonzero mark.
+  std::vector<std::uint32_t> improved(slots, 0);
+  std::vector<NodeId> frontier;
   for (std::size_t k = 0; k < lane_count; ++k) {
-    dist[static_cast<std::size_t>(lanes[k].source) * lane_count + k] = 0.0;
+    const NodeId s = lanes[k].source;
+    dist[row_of(s) + k] = 0.0;
+    if (improved[s] == 0) frontier.push_back(s);
+    improved[s] |= std::uint32_t{1} << k;
   }
   std::vector<double> next = dist;
+  // Vertices relaxed into this round, each listed once.
+  std::vector<std::uint8_t> touched(slots, 0);
+  std::vector<NodeId> touched_list;
+  std::vector<double> pushed(lane_count);
 
-  std::vector<std::uint8_t> active(lane_count, 1);
-  std::vector<std::uint8_t> lane_changed(lane_count, 0);
+  std::uint32_t active = ~std::uint32_t{0} >> (32 - lane_count);
   std::vector<std::uint32_t> last_round(lane_count, 0);
-
-  sim::SweepOptions opts;
-  opts.weighted = alg == QueryAlg::Sssp && snap.graph.has_weights();
-  sim::KernelStats stats;
 
   // Bellman-Ford needs at most |V|-1 improving rounds on nonnegative
   // weights; the cap is a belt against a (bug-induced) livelock.
@@ -104,81 +120,101 @@ MultiSourceOutcome run_multi_source_on(sim::Engine& engine,
   std::uint32_t round = 0;
   while (round < round_cap) {
     for (std::size_t k = 0; k < lane_count; ++k) {
-      if (active[k] != 0 && lanes[k].expired && lanes[k].expired()) {
-        active[k] = 0;
+      const std::uint32_t bit = std::uint32_t{1} << k;
+      if ((active & bit) != 0 && lanes[k].expired && lanes[k].expired()) {
+        active &= ~bit;
         out.lanes[k].expired = true;
       }
     }
-    bool any_active = false;
-    for (const std::uint8_t a : active) any_active = any_active || a != 0;
-    if (!any_active) break;
+    if (active == 0) break;
 
     ++round;
-    std::fill(lane_changed.begin(), lane_changed.end(), std::uint8_t{0});
-    auto gate = [&](NodeId u) {
-      const double* row = &dist[static_cast<std::size_t>(u) * lane_count];
-      for (std::size_t k = 0; k < lane_count; ++k) {
-        if (active[k] != 0 && std::isfinite(row[k])) return true;
-      }
-      return false;
-    };
-    auto fn = [&](NodeId u, NodeId v, Weight w) {
-      const double* row = &dist[static_cast<std::size_t>(u) * lane_count];
-      double* nrow = &next[static_cast<std::size_t>(v) * lane_count];
-      const double step = alg == QueryAlg::Bfs ? 1.0 : static_cast<double>(w);
-      bool commit = false;
-      for (std::size_t k = 0; k < lane_count; ++k) {
-        if (active[k] == 0) continue;
-        const double d = row[k];
-        if (!std::isfinite(d)) continue;
-        const double nd = d + step;
-        if (nd < nrow[k]) {
-          nrow[k] = nd;
-          lane_changed[k] = 1;
-          commit = true;
+    for (const NodeId u : frontier) {
+      const std::uint32_t push = improved[u] & active;
+      improved[u] = 0;
+      if (push == 0) continue;
+      const double* row = &dist[row_of(u)];
+      // With a quarter or more of the lanes marked, one branch-free pass
+      // over all lanes beats visiting the marked ones: an unmarked active
+      // lane's relaxation is a no-op (batcher.hpp), and a frozen lane
+      // pushes +inf, which never improves anything. As in the full sweep,
+      // only finite values push: a -inf weight can make a value -inf.
+      const bool dense =
+          static_cast<std::size_t>(std::popcount(push)) * 4 >= lane_count;
+      if (dense) {
+        for (std::size_t k = 0; k < lane_count; ++k) {
+          const bool live = ((active >> k) & 1) != 0 && std::isfinite(row[k]);
+          pushed[k] = live ? row[k] : kInf;
         }
       }
-      return commit;
-    };
-    if (!engine.try_sweep_gated(snap.items, opts, gate, fn, stats)) {
-      out.engine_busy = true;
-      return out;
-    }
-    bool any_change = false;
-    for (std::size_t k = 0; k < lane_count; ++k) {
-      if (lane_changed[k] != 0) {
-        last_round[k] = round;
-        any_change = true;
+      for (EdgeId e = offsets[u]; e < offsets[u + 1]; ++e) {
+        const NodeId v = targets[e];
+        const double step = weighted ? static_cast<double>(weights[e]) : 1.0;
+        double* nrow = &next[row_of(v)];
+        // std::min(a, b) keeps a unless b < a: the strict-< relaxation.
+        if (dense) {
+          for (std::size_t k = 0; k < lane_count; ++k) {
+            nrow[k] = std::min(nrow[k], pushed[k] + step);
+          }
+        } else {
+          for (std::uint32_t m = push; m != 0; m &= m - 1) {
+            const int k = std::countr_zero(m);
+            if (std::isfinite(row[k])) {
+              nrow[k] = std::min(nrow[k], row[k] + step);
+            }
+          }
+        }
+        if (touched[v] == 0) {
+          touched[v] = 1;
+          touched_list.push_back(v);
+        }
       }
     }
-    if (!any_change) break;
-    dist = next;
+    // A lane improved at v exactly where next now reads below dist.
+    std::uint32_t changed = 0;
+    frontier.clear();
+    for (const NodeId v : touched_list) {
+      touched[v] = 0;
+      const double* nrow = &next[row_of(v)];
+      double* row = &dist[row_of(v)];
+      std::uint32_t gained = 0;
+      for (std::size_t k = 0; k < lane_count; ++k) {
+        gained |= static_cast<std::uint32_t>(nrow[k] < row[k]) << k;
+      }
+      if (gained == 0) continue;
+      std::copy_n(nrow, lane_count, row);
+      improved[v] = gained;
+      frontier.push_back(v);
+      changed |= gained;
+    }
+    touched_list.clear();
+    for (std::size_t k = 0; k < lane_count; ++k) {
+      if (((changed >> k) & 1) != 0) last_round[k] = round;
+    }
+    if (changed == 0) break;
   }
 
+  // One row-major pass over the plane hashes every lane.
+  std::vector<std::uint64_t> digest(lane_count, fnv1a64(nullptr, 0));
+  std::vector<NodeId> reached(lane_count, 0);
+  for (std::size_t s = 0; s < slots; ++s) {
+    const double* row = &dist[s * lane_count];
+    for (std::size_t k = 0; k < lane_count; ++k) {
+      digest[k] = fnv1a64_append(digest[k], &row[k], sizeof(double));
+      if (std::isfinite(row[k])) ++reached[k];
+    }
+  }
   for (std::size_t k = 0; k < lane_count; ++k) {
     LaneOutcome& lane = out.lanes[k];
+    lane.digest = digest[k];
+    lane.reached = reached[k];
     lane.rounds = last_round[k];
-    std::uint64_t h = fnv1a64(nullptr, 0);
-    NodeId reached = 0;
-    for (std::size_t s = 0; s < slots; ++s) {
-      const double d = dist[s * lane_count + k];
-      h = fnv1a64_append(h, &d, sizeof d);
-      if (std::isfinite(d)) ++reached;
-    }
-    lane.digest = h;
-    lane.reached = reached;
     lane.values.reserve(lanes[k].echo_nodes.size());
     for (const NodeId n : lanes[k].echo_nodes) {
-      lane.values.push_back(dist[static_cast<std::size_t>(n) * lane_count + k]);
+      lane.values.push_back(dist[row_of(n) + k]);
     }
   }
   return out;
-}
-
-MultiSourceOutcome run_multi_source(const GraphSnapshot& snap, QueryAlg alg,
-                                    std::span<const LaneSpec> lanes) {
-  sim::Engine engine(snap.graph, sim::SimConfig{});
-  return run_multi_source_on(engine, snap, alg, lanes);
 }
 
 }  // namespace graffix::serve

@@ -1,22 +1,25 @@
 // Query batching for `graffix serve`.
 //
-// The engine's per-lane source residency (PR 2) means K single-source
-// SSSP/BFS queries against the same snapshot can share one sweep
-// schedule: each relaxation round is one gated sweep whose functor
-// relaxes all K lanes' attribute planes, and a vertex is gated in when
-// ANY lane still has a finite value there. The batcher groups compatible
-// queries (same snapshot, same algorithm) into such multi-source units,
-// capped at kMaxBatchLanes.
+// K single-source SSSP/BFS queries against the same snapshot share one
+// Bellman-Ford round schedule. The batcher groups compatible queries
+// (same snapshot, same algorithm) into such multi-source units, capped at
+// kMaxBatchLanes, and run_multi_source answers a unit with a data-driven
+// frontier kernel over the snapshot's CSR (Gunrock's advance, with
+// GraphBLAST's batch-wide traversal mask): each vertex carries a lane
+// mask of the lanes that improved there last round, and a round relaxes
+// only those (vertex, lane) pairs, or all of a vertex's active lanes in
+// one branch-free pass when enough of them are marked.
 //
 // Byte-identity with per-query serial execution (the differential test's
 // contract) holds because each lane's relaxation is an independent
 // monotone min-plus fixpoint: lanes only ever *improve* their own plane
-// under strict `<`, so the extra functor invocations a co-batched lane
-// induces (vertices gated in by OTHER lanes) are no-ops for this lane,
-// and the fixpoint plus the per-lane last-changed round are pure
-// functions of (graph, source). Response payloads carry only per-lane
-// data — never the shared round count or timing — so batched and serial
-// renderings are byte-equal.
+// under strict `<`, reads come from the round-stable plane (Jacobi), and
+// a (vertex, lane) pair whose value did not change last round already
+// pushed that value, so relaxing it again is a no-op. The fixpoint
+// plus the per-lane last-changed round are therefore pure functions of
+// (graph, source), whatever else shares the unit. Response payloads carry
+// only per-lane data — never the shared round count or timing — so
+// batched and serial renderings are byte-equal.
 #pragma once
 
 #include <cstddef>
@@ -29,12 +32,12 @@
 
 #include "graph/csr.hpp"
 #include "serve/protocol.hpp"
-#include "sim/engine.hpp"
 
 namespace graffix::serve {
 
 /// Lanes one multi-source unit may carry. 32 keeps the K-wide attribute
-/// planes cache-resident for the scale-16 serving preset.
+/// planes cache-resident for the scale-16 serving preset, and one
+/// `uint32_t` lane mask per vertex covers a whole unit.
 inline constexpr std::uint32_t kMaxBatchLanes = 32;
 
 /// One published copy-on-write graph variant. Immutable after
@@ -44,12 +47,11 @@ struct GraphSnapshot {
   std::string variant;
   std::uint64_t version = 0;
   Csr graph;
-  /// Divergence-transform processing order; empty = slot order.
+  /// Divergence-transform processing order for the PR/BC runners;
+  /// empty = slot order.
   std::vector<NodeId> warp_order;
-  /// Per-vertex sweep items in processing order, built once at publish.
-  std::vector<sim::WorkItem> items;
 
-  /// Bytes this snapshot keeps resident (graph + order + items).
+  /// Bytes this snapshot keeps resident (graph + order).
   [[nodiscard]] std::size_t resident_bytes() const;
 };
 
@@ -80,7 +82,6 @@ struct LaneOutcome {
 };
 
 struct MultiSourceOutcome {
-  bool engine_busy = false;    // try_sweep refused (nested sweep)
   std::vector<LaneOutcome> lanes;
 };
 
@@ -92,15 +93,9 @@ struct LaneSpec {
   std::function<bool()> expired;
 };
 
-/// Runs a K-lane SSSP/BFS fixpoint on `engine` (which must be built over
-/// `snap.graph`). Sources must be in range and non-hole — validated by
-/// the caller. Returns engine_busy without touching anything when the
-/// engine is mid-sweep.
-[[nodiscard]] MultiSourceOutcome run_multi_source_on(
-    sim::Engine& engine, const GraphSnapshot& snap, QueryAlg alg,
-    std::span<const LaneSpec> lanes);
-
-/// Convenience wrapper: builds a fresh engine over the snapshot.
+/// Runs a K-lane SSSP/BFS fixpoint (K <= kMaxBatchLanes) over
+/// `snap.graph`. Sources and echo nodes must be in range and sources
+/// non-hole — validated by the caller.
 [[nodiscard]] MultiSourceOutcome run_multi_source(const GraphSnapshot& snap,
                                                   QueryAlg alg,
                                                   std::span<const LaneSpec> lanes);

@@ -18,7 +18,6 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::DeadlineExpired: return "deadline_expired";
     case ErrorCode::Overloaded: return "overloaded";
     case ErrorCode::FrameTooLarge: return "frame_too_large";
-    case ErrorCode::EngineBusy: return "engine_busy";
     case ErrorCode::ShuttingDown: return "shutting_down";
     case ErrorCode::Internal: return "internal";
   }

@@ -49,7 +49,6 @@ enum class ErrorCode {
   DeadlineExpired,  // request outlived its deadline_ms in queue or flight
   Overloaded,       // bounded queue full — shed-load response
   FrameTooLarge,    // line exceeded the frame cap
-  EngineBusy,       // would require a nested sweep (try_sweep refusal)
   ShuttingDown,     // daemon is draining; no new work accepted
   Internal,         // validated request still failed (bug guard)
 };

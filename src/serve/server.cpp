@@ -19,21 +19,6 @@
 
 namespace graffix::serve {
 
-namespace {
-
-/// Percentile over a scratch copy (nearest-rank). 0 when empty.
-double percentile(std::vector<double>& scratch, double q) {
-  if (scratch.empty()) return 0.0;
-  std::size_t rank = static_cast<std::size_t>(q * static_cast<double>(scratch.size()));
-  if (rank >= scratch.size()) rank = scratch.size() - 1;
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<std::ptrdiff_t>(rank),
-                   scratch.end());
-  return scratch[rank];
-}
-
-}  // namespace
-
 Server::Server(Csr base_graph, ServerConfig config) : config_(std::move(config)) {
   if (config_.max_batch_lanes == 0) config_.max_batch_lanes = 1;
   if (config_.max_batch_lanes > kMaxBatchLanes) {
@@ -394,9 +379,10 @@ void Server::process_wave(std::vector<Job>& wave) {
     units[u].reserve(unit_indices[u].size());
     for (const std::size_t i : unit_indices[u]) units[u].push_back(&wave[i]);
   }
-  // Units run concurrently on the persistent pool; the engine sweeps
-  // inside each unit see in_parallel() and stay serial, so there is
-  // exactly one layer of parallelism — across units, never within.
+  // Units run concurrently on the persistent pool. SSSP/BFS units run a
+  // serial frontier kernel and the PR/BC runners' engine sweeps see
+  // in_parallel() and stay serial, so there is exactly one layer of
+  // parallelism — across units, never within.
   // A throwing unit answers its own jobs instead of taking down the
   // daemon (or, worse, leaving their sessions waiting forever).
   parallel_for_each_dynamic(units, [&](const std::vector<Job*>& unit, std::size_t) {
@@ -419,7 +405,7 @@ void Server::run_query_unit(const std::vector<Job*>& unit) {
     return;
   }
 
-  // Multi-source SSSP/BFS unit (K >= 1 lanes, one shared sweep
+  // Multi-source SSSP/BFS unit (K >= 1 lanes, one shared round
   // schedule). Requests already past their deadline are answered
   // without joining the batch.
   std::vector<Job*> live;
@@ -454,15 +440,6 @@ void Server::run_query_unit(const std::vector<Job*>& unit) {
 
   const GraphSnapshot& snap = *live.front()->snap;
   const MultiSourceOutcome outcome = run_multi_source(snap, alg, lanes);
-  if (outcome.engine_busy) {
-    // Unreachable with a per-unit engine; kept as the typed fallback the
-    // try_sweep contract promises.
-    for (Job* job : live) {
-      respond_error(job->session, job->req.id, ErrorCode::EngineBusy,
-                    "engine is mid-sweep");
-    }
-    return;
-  }
   {
     std::scoped_lock lk(metrics_mutex_);
     counters_.units += 1;
@@ -539,39 +516,47 @@ void Server::run_scalar_query(Job& job) {
 
 // ---- Responses + metrics ------------------------------------------------
 
+// Each outcome is booked before its line is written: a client that reads
+// its answer and then asks for `stats` must find that answer counted.
+
 void Server::respond_error(const std::shared_ptr<Session>& session,
                            std::uint64_t id, ErrorCode code,
                            std::string_view message) {
-  const bool delivered = session->send_line(render_error(id, code, message));
-  std::scoped_lock lk(metrics_mutex_);
-  counters_.errors += 1;
-  counters_.errors_by_code[error_code_name(code)] += 1;
-  if (!delivered) counters_.responses_dropped += 1;
+  {
+    std::scoped_lock lk(metrics_mutex_);
+    counters_.errors += 1;
+    counters_.errors_by_code[error_code_name(code)] += 1;
+  }
+  if (!session->send_line(render_error(id, code, message))) {
+    std::scoped_lock lk(metrics_mutex_);
+    counters_.responses_dropped += 1;
+  }
 }
 
 void Server::respond_ok(Job& job, const std::string& line) {
-  const bool delivered = job.session->send_line(line);
-  const double ms = job.age.millis();
-  std::scoped_lock lk(metrics_mutex_);
-  if (delivered) {
+  {
+    std::scoped_lock lk(metrics_mutex_);
     counters_.queries_ok += 1;
-    latencies_ms_.push_back(ms);
-  } else {
+    latency_ms_.record(job.age.millis());
+  }
+  if (!job.session->send_line(line)) {
+    std::scoped_lock lk(metrics_mutex_);
+    counters_.queries_ok -= 1;
     counters_.responses_dropped += 1;
   }
 }
 
 ServerMetrics Server::metrics() const {
   ServerMetrics m;
-  std::vector<double> scratch;
+  LogLinearHistogram latency;
   {
     std::scoped_lock lk(metrics_mutex_);
     m = counters_;
-    scratch = latencies_ms_;
+    latency = latency_ms_;
   }
-  m.p50_ms = percentile(scratch, 0.50);
-  m.p95_ms = percentile(scratch, 0.95);
-  m.p99_ms = percentile(scratch, 0.99);
+  m.p50_ms = latency.quantile(0.50);
+  m.p95_ms = latency.quantile(0.95);
+  m.p99_ms = latency.quantile(0.99);
   {
     std::scoped_lock lk(queue_mutex_);
     m.queue_depth = queue_.size();

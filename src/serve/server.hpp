@@ -21,8 +21,8 @@
 //
 // Graceful degradation, never a crash: every fault (malformed frame,
 // oversized payload, unknown variant, bad source, queue overflow,
-// deadline expiry, nested-sweep attempt, draining) maps to a typed
-// error response and the daemon keeps serving.
+// deadline expiry, draining) maps to a typed error response and the
+// daemon keeps serving.
 #pragma once
 
 #include <condition_variable>
@@ -38,6 +38,7 @@
 #include "serve/batcher.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
+#include "util/histogram.hpp"
 #include "util/timer.hpp"
 
 namespace graffix::serve {
@@ -66,6 +67,8 @@ struct ServerMetrics {
   std::size_t queue_peak = 0;
   std::size_t snapshots = 0;       // live published variants
   std::size_t resident_bytes = 0;  // sum over live variants
+  // Admission-to-answer latency over answered queries (delivered or
+  // dropped), from a log-linear histogram: within 1/128 relative.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -181,7 +184,7 @@ class Server {
   // Metrics.
   mutable std::mutex metrics_mutex_;
   ServerMetrics counters_;  // latency percentiles filled on read
-  std::vector<double> latencies_ms_;
+  LogLinearHistogram latency_ms_;  // admission to answer, every answered query
 };
 
 }  // namespace graffix::serve

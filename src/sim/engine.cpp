@@ -178,16 +178,6 @@ void Engine::charge_uniform_kernel(std::uint64_t n_items, double tx_per_item,
   stats.attr_ideal_transactions += tx;
 }
 
-std::vector<WorkItem> items_per_vertex(const Csr& graph,
-                                       std::span<const NodeId> slots) {
-  std::vector<WorkItem> items;
-  items.reserve(slots.size());
-  for (NodeId s : slots) {
-    items.push_back({s, graph.edge_begin(s), graph.degree(s)});
-  }
-  return items;
-}
-
 std::vector<WorkItem> items_all_vertices(const Csr& graph) {
   std::vector<WorkItem> items;
   items.reserve(graph.num_nodes());

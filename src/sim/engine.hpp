@@ -523,26 +523,6 @@ class Engine {
     }
   }
 
-  /// True while a sweep is executing on this engine — the state behind
-  /// the reentrancy guard above. Callers that cannot afford the abort
-  /// (the serve daemon) probe this before dispatching.
-  [[nodiscard]] bool in_sweep() const { return in_sweep_; }
-
-  /// sweep_gated() that refuses instead of aborting when the engine is
-  /// already mid-sweep: returns false and leaves `stats` and all caller
-  /// state untouched. A resident daemon must map a malformed request
-  /// that would drive a nested sweep to a typed error response —
-  /// GRAFFIX_CHECK would take every connected client down with it.
-  template <typename Gate, typename EdgeFn>
-  [[nodiscard]] bool try_sweep_gated(std::span<const WorkItem> items,
-                                     const SweepOptions& opts, Gate&& gate,
-                                     EdgeFn&& fn, KernelStats& stats) {
-    if (in_sweep_) return false;
-    sweep_gated(items, opts, std::forward<Gate>(gate),
-                std::forward<EdgeFn>(fn), stats);
-    return true;
-  }
-
   /// Charges a uniform auxiliary kernel (confluence merges, frontier
   /// filters): n items, each touching `tx_per_item` global words.
   void charge_uniform_kernel(std::uint64_t n_items, double tx_per_item,
@@ -928,10 +908,6 @@ class ScopedGlobalSweepChunks {
   ScopedGlobalSweepChunks(const ScopedGlobalSweepChunks&) = delete;
   ScopedGlobalSweepChunks& operator=(const ScopedGlobalSweepChunks&) = delete;
 };
-
-/// Builds one WorkItem per listed slot covering its whole adjacency.
-[[nodiscard]] std::vector<WorkItem> items_per_vertex(
-    const Csr& graph, std::span<const NodeId> slots);
 
 /// Builds items for all non-hole slots in slot order.
 [[nodiscard]] std::vector<WorkItem> items_all_vertices(const Csr& graph);

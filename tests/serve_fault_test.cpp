@@ -84,6 +84,19 @@ TEST(ServeFault, MalformedFramesGetTypedErrors) {
   server.stop();
 }
 
+TEST(ServeFault, StatsCountEachAnswerBeforeTheClientReadsIt) {
+  Server server(tiny_graph());
+  server.start();
+  auto client = connect_client(server);
+  for (std::uint64_t i = 1; i <= 200; ++i) {
+    client->send(R"({"id":)" + std::to_string(i) +
+                 R"(,"op":"query","alg":"bfs","source":0})");
+    client->recv_or_die();
+    ASSERT_EQ(server.metrics().queries_ok, i);
+  }
+  server.stop();
+}
+
 TEST(ServeFault, OversizedFrameIsSheddedNotBuffered) {
   ServerConfig cfg;
   cfg.max_frame_bytes = 256;

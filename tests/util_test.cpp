@@ -5,13 +5,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "util/arena.hpp"
 #include "util/bitset.hpp"
+#include "util/histogram.hpp"
 #include "util/parallel.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/rng.hpp"
@@ -319,6 +323,78 @@ TEST(ArenaVector, WorksAsVectorAndRecyclesBacking) {
 TEST(ArenaTelemetry, RssCountersReportNonZero) {
   EXPECT_GT(peak_rss_bytes(), 0u);
   EXPECT_GT(current_rss_bytes(), 0u);
+}
+
+/// Log-uniform over [1e-3, 1e5): inside the histogram's tracked range.
+std::vector<double> latency_sample(std::uint64_t seed, std::size_t n) {
+  Pcg32 rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = std::pow(10.0, -3.0 + 8.0 * rng.next_double());
+  return v;
+}
+
+/// Asserts every quantile is within half a bucket of exact nearest-rank
+/// (the ceil(q * n)-th smallest sample).
+void expect_quantiles_within_bound(const LogLinearHistogram& h,
+                                   std::vector<double> sample) {
+  std::sort(sample.begin(), sample.end());
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(q * static_cast<double>(sample.size()))));
+    const double exact = sample[rank - 1];
+    EXPECT_LE(std::abs(h.quantile(q) - exact),
+              exact / (2 * LogLinearHistogram::kSubBuckets))
+        << "q " << q << " exact " << exact;
+  }
+}
+
+TEST(LogLinearHistogram, QuantilesStayWithinHalfABucketOfNearestRank) {
+  const std::vector<double> sample = latency_sample(11, 20000);
+  LogLinearHistogram h;
+  for (const double x : sample) h.record(x);
+  ASSERT_EQ(h.count(), sample.size());
+  expect_quantiles_within_bound(h, sample);
+  EXPECT_EQ(h.quantile(0.0), *std::min_element(sample.begin(), sample.end()));
+  EXPECT_EQ(h.quantile(1.0), *std::max_element(sample.begin(), sample.end()));
+
+  // Merging two halves gives the histogram of the whole.
+  LogLinearHistogram first;
+  LogLinearHistogram second;
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    (i < sample.size() / 2 ? first : second).record(sample[i]);
+  }
+  second.merge(first);
+  EXPECT_EQ(second.count(), h.count());
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(second.quantile(q), h.quantile(q));
+  }
+}
+
+TEST(LogLinearHistogram, MemoryStaysFixedOverAMillionRecords) {
+  // No heap-owning members: the footprint is sizeof, whatever is recorded.
+  static_assert(std::is_trivially_copyable_v<LogLinearHistogram>);
+  const std::vector<double> sample = latency_sample(12, 1000000);
+  LogLinearHistogram h;
+  for (const double x : sample) h.record(x);
+  EXPECT_EQ(h.count(), sample.size());
+  expect_quantiles_within_bound(h, sample);
+}
+
+TEST(LogLinearHistogram, EmptyAndOutOfRangeValues) {
+  LogLinearHistogram h;
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  // Zero, negatives and NaN share the underflow bucket.
+  h.record(0.0);
+  h.record(-1.0);
+  h.record(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  // Values past the tracked range land in the top bucket.
+  h.record(1e300);
+  h.record(2e300);
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_GE(h.quantile(0.8), std::ldexp(1.0, LogLinearHistogram::kMaxExp - 1));
+  EXPECT_EQ(h.quantile(1.0), 2e300);
+  EXPECT_EQ(h.quantile(0.0), -1.0);
 }
 
 }  // namespace
