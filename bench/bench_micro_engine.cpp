@@ -2,7 +2,7 @@
 //
 // Measures wall-clock time of the simulation hot paths — raw engine
 // sweeps, SSSP (topology- and frontier-driven), PageRank, and the
-// source-parallel BC loop — at 1/2/8 worker threads, and verifies that
+// source-parallel BC loop — at 1/2/4/8 worker threads, and verifies that
 // KernelStats, sim_seconds, and the output attributes are bit-identical
 // across all thread counts (the DESIGN.md §7 contract). Exits non-zero
 // on any mismatch, so this binary doubles as a runtime determinism
@@ -331,13 +331,14 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
   algo_cell("bc", Algorithm::BC,
             graffix::baselines::BaselineId::TopologyDriven);
 
-  const std::vector<int> thread_counts{1, 2, 8};
+  const std::vector<int> thread_counts{1, 2, 4, 8};
   bool scale_identical = true;
 
   std::printf("bench_micro_engine: scale=%u seed=%llu (rmat)\n", scale,
               static_cast<unsigned long long>(options.seed));
-  graffix::metrics::Table table(
-      {"Config", "T=1 (s)", "T=2 (s)", "T=8 (s)", "Speedup 8v1", "Identical"});
+  graffix::metrics::Table table({"Config", "T=1 (s)", "T=2 (s)", "T=4 (s)",
+                                 "T=8 (s)", "Speedup 4v1", "Speedup 8v1",
+                                 "Identical"});
 
   if (json != nullptr) {
     std::fprintf(json, "%s{\"scale\":%u,\"configs\":[", first_scale ? "" : ",",
@@ -353,8 +354,8 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
   // Latin square: each count occupies each time slot exactly once), so
   // monotone drift — a VM getting slower mid-bench — affects all
   // counts alike instead of always taxing whichever runs last.
-  constexpr std::size_t kRounds = 3;
-  static_assert(kRounds == std::size_t{3});  // rotation covers all slots
+  constexpr std::size_t kRounds = 4;
+  static_assert(kRounds == std::size_t{4});  // rotation covers all slots
   for (std::size_t c = 0; c < cells.size(); ++c) {
     std::vector<double> wall(thread_counts.size(),
                              std::numeric_limits<double>::infinity());
@@ -378,18 +379,26 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
       }
     }
     scale_identical = scale_identical && identical;
-    const double speedup = wall.back() > 0.0 ? wall.front() / wall.back() : 0.0;
+    auto speedup_vs_1 = [&](std::size_t ti) {
+      return wall[ti] > 0.0 ? wall[0] / wall[ti] : 0.0;
+    };
+    const double speedup_4 = speedup_vs_1(2);
+    const double speedup_8 = speedup_vs_1(3);
     table.add_row({cells[c].name, graffix::metrics::Table::num(wall[0], 4),
                    graffix::metrics::Table::num(wall[1], 4),
                    graffix::metrics::Table::num(wall[2], 4),
-                   graffix::metrics::Table::speedup(speedup),
+                   graffix::metrics::Table::num(wall[3], 4),
+                   graffix::metrics::Table::speedup(speedup_4),
+                   graffix::metrics::Table::speedup(speedup_8),
                    identical ? "yes" : "NO"});
     if (json != nullptr) {
       std::fprintf(json,
                    "%s{\"name\":\"%s\",\"wall_s\":{\"1\":%.9g,\"2\":%.9g,"
-                   "\"8\":%.9g},\"speedup_8v1\":%.9g,\"identical\":%s}",
+                   "\"4\":%.9g,\"8\":%.9g},\"speedup_4v1\":%.9g,"
+                   "\"speedup_8v1\":%.9g,\"identical\":%s}",
                    c > 0 ? "," : "", cells[c].name.c_str(), wall[0], wall[1],
-                   wall[2], speedup, identical ? "true" : "false");
+                   wall[2], wall[3], speedup_4, speedup_8,
+                   identical ? "true" : "false");
     }
   }
   if (json != nullptr) {
@@ -422,8 +431,9 @@ int main(int argc, char** argv) {
     // run, so the gate reads it to decide warn-only vs hard.
     // schema 2: adds the sssp_relax/bc_forward certified cells and
     // their *_serial fallback ablations to every scale's configs.
+    // schema 3: adds the 4-thread wall and speedup_4v1 to every config.
     std::fprintf(json,
-                 "{\"bench\":\"bench_micro_engine\",\"schema\":2,"
+                 "{\"bench\":\"bench_micro_engine\",\"schema\":3,"
                  "\"seed\":%llu,\"procs\":%d,\"scales\":[",
                  static_cast<unsigned long long>(options.seed),
                  omp_get_num_procs());

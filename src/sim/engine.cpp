@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 namespace graffix::sim {
@@ -87,31 +88,30 @@ void Engine::account_block(std::span<const WorkItem> items,
   const std::uint64_t attr_bytes = config_.attr_bytes;
   const std::uint64_t seg_bytes = config_.transaction_bytes;
   const std::uint32_t banks = config_.shared_banks;
-  const std::size_t base = b * ws;
-  const std::uint64_t bits = meta.bits;
-  const std::uint32_t lanes = meta.lanes;
+  const WorkItem* block = items.data() + b * ws;
   const NodeId max_len = meta.max_len;
   // Source-side residency is invariant across an item's edges: fetch it
-  // once per gated-in lane instead of once per edge.
-  for (std::uint32_t l = 0; l < lanes; ++l) {
-    if (!((bits >> l) & 1)) continue;
-    sc.lane_res[l] =
-        have_resident ? opts.resident[items[base + l].src] : kInvalidNode;
+  // once per live lane instead of once per edge.
+  for (std::uint64_t m = meta.bits; m != 0; m &= m - 1) {
+    const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
+    sc.lane_res[l] = have_resident ? opts.resident[block[l].src] : kInvalidNode;
+    sc.lane_edge_seg[l] = ~std::uint64_t{0};
   }
-  std::fill_n(sc.lane_edge_seg.begin(), lanes, ~std::uint64_t{0});
-  // Every step issues one warp instruction and occupies ws lane slots.
+  // Every step issues one warp instruction and occupies ws lane slots;
+  // the walk below visits only the lanes live at each step.
   st.warp_steps += max_len;
   st.lane_slots += static_cast<std::uint64_t>(max_len) * ws;
+  std::uint64_t live = meta.bits;
   for (NodeId j = 0; j < max_len; ++j) {
     sc.epoch += 1;  // invalidates the bank + segment scratch in O(1)
-    std::uint32_t active = 0;
+    const auto active = static_cast<std::uint32_t>(std::popcount(live));
     std::uint32_t edge_segs = 0;
     std::uint32_t attr_segs = 0;
     std::uint32_t shared_hits = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      const WorkItem& item = items[base + l];
-      if (!((bits >> l) & 1) || j >= item.edge_count) continue;
-      ++active;
+    for (std::uint64_t m = live; m != 0; m &= m - 1) {
+      const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
+      const WorkItem& item = block[l];
+      if (j + 1 == item.edge_count) live &= ~(std::uint64_t{1} << l);
       const EdgeId e = item.edge_begin + j;
       const NodeId v = targets[e];
       if (csr_mode) {

@@ -18,8 +18,8 @@
 //   each chunk accumulates into its own KernelStats, reduced in chunk
 //   (= warp block) order. All counters are integer sums, so the totals
 //   are bit-identical at any thread count. Phase A also records each
-//   block's metadata (gate bitmask, lane count, longest gated-in item)
-//   and a compacted per-chunk list of live block ids.
+//   block's metadata (live-lane mask, record count, longest gated-in
+//   item) and a compacted per-chunk list of live block ids.
 //
 //   Phase B (functional) — replays live blocks and invokes the caller's
 //   functor. For an *uncertified* functor (SweepOptions::functor.merge ==
@@ -53,6 +53,17 @@
 // mid-propagation); the determinism tests pin this. Gates and functors
 // must tolerate concurrent *gate* invocation from worker threads.
 //
+// Host cost follows simulated work, not simulated waste. Every per-step
+// lane loop (accounting, the functional replay, the grouped replay's
+// record emission and commit replay) walks the block's live-lane mask in
+// ascending lane order: it starts from the gated-in lanes that have at
+// least one edge and clears a lane's bit after its last step, so gated-
+// out, empty and finished lanes are never visited. A block costs
+// O(warp steps + active lanes) host work; the idle lane slots are still
+// charged to warp_steps/lane_slots arithmetically, and the walk's order
+// keeps functor calls and every KernelStats counter identical to a
+// visit of every slot.
+//
 // Identical inputs give identical stats and results at every thread
 // count, including 1. A single Engine instance is not thread-safe; use
 // one engine per thread of control (forked drivers each own one). A
@@ -64,6 +75,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -294,10 +306,10 @@ struct SweepOptions {
 /// set is a small open-addressed hash table (capacity >= 4*warp_size, a
 /// power of two, so it can never fill from <= warp_size inserts per
 /// step), replacing the previous O(warp_size) linear scan per insert.
-/// The replay lane tables (lane_dst/lane_active) live here too — they
-/// are written during Phase B and the atomic-accounting replay, so they
-/// must be per-worker, never engine members (two blocks replaying
-/// concurrently would otherwise corrupt each other's conflict scans).
+/// The replay lane table (lane_dst) lives here too — it is written
+/// during Phase B and the atomic-accounting replay, so it must be
+/// per-worker, never an engine member (two blocks replaying concurrently
+/// would otherwise corrupt each other's conflict scans).
 struct SweepScratch {
   // Arena-pooled (ArenaVector): each sweep chunk tears these down with
   // its Engine; pooling hands the blocks to the next Engine instead of
@@ -305,7 +317,6 @@ struct SweepScratch {
   ArenaVector<std::uint64_t> lane_edge_seg;
   ArenaVector<NodeId> lane_res;  // per-lane source residency cluster
   ArenaVector<NodeId> lane_dst;  // per-lane destination this warp step
-  ArenaVector<std::uint8_t> lane_active;
   ArenaVector<NodeId> bank_word;
   ArenaVector<std::uint64_t> bank_epoch;
   ArenaVector<std::uint64_t> seg_key;
@@ -318,7 +329,6 @@ struct SweepScratch {
       lane_edge_seg.assign(warp_size, ~std::uint64_t{0});
       lane_res.assign(warp_size, kInvalidNode);
       lane_dst.assign(warp_size, kInvalidNode);
-      lane_active.assign(warp_size, 0);
     }
     bool rewound = false;
     if (bank_word.size() != banks) {
@@ -421,9 +431,10 @@ class Engine {
     block_meta_.resize(n_blocks);
 
     // Evaluates the gate for every lane of block b, records {bits,
-    // lanes, max_len, recs}, and reports whether the block has any work.
-    // The warp runs until its longest gated-in item is exhausted (thread
-    // divergence: shorter and gated-out lanes idle).
+    // recs, max_len}, and reports whether the block has any work.
+    // bits is the block's step-0 live mask: the gated-in lanes with at
+    // least one edge. The warp runs until its longest gated-in item is
+    // exhausted (thread divergence: shorter and gated-out lanes idle).
     auto eval_gate = [&](std::size_t b) {
       const std::size_t base = b * ws;
       const auto lanes = static_cast<std::uint32_t>(
@@ -433,13 +444,13 @@ class Engine {
       std::uint64_t recs = 0;
       for (std::uint32_t l = 0; l < lanes; ++l) {
         const WorkItem& item = items[base + l];
-        if (!gate(item.src)) continue;
+        if (!gate(item.src) || item.edge_count == 0) continue;
         bits |= std::uint64_t{1} << l;
         max_len = std::max(max_len, item.edge_count);
         recs += item.edge_count;
       }
-      block_meta_[b] = {bits, recs, max_len, lanes};
-      return max_len > 0;
+      block_meta_[b] = {bits, recs, max_len};
+      return bits != 0;
     };
 
     // graffix-lint: allow(R6) vector-of-vectors (inner lists keep their capacity across sweeps); the arena only serves flat trivially-copyable scratch
@@ -549,10 +560,9 @@ class Engine {
   /// accounting, the functional replay, and the grouped-replay record
   /// layout.
   struct BlockMeta {
-    std::uint64_t bits;  // gate bitmask: lane l is gated-in iff bit l
+    std::uint64_t bits;  // step-0 live mask: lane l gated in with edges
     std::uint64_t recs;  // gated-in lane-steps = replay records emitted
     NodeId max_len;      // longest gated-in item (warp step count)
-    std::uint32_t lanes; // items in this block (partial tail warp < ws)
   };
 
   /// One candidate edge update captured for the grouped replay.
@@ -588,42 +598,50 @@ class Engine {
                      std::size_t b, const BlockMeta& meta, SweepScratch& sc,
                      KernelStats& st) const;
 
+  /// Whether a lane earlier than l in one step's live mask `step` wrote
+  /// destination v at that step. `step` is the mask the step began with,
+  /// so a lane on its last edge still conflicts and a finished lane's
+  /// stale destination never does.
+  static bool conflicts_earlier_lane(std::uint64_t step, std::uint32_t l,
+                                     const NodeId* lane_dst, NodeId v) {
+    for (std::uint64_t p = step & ((std::uint64_t{1} << l) - 1); p != 0;
+         p &= p - 1) {
+      if (lane_dst[std::countr_zero(p)] == v) return true;
+    }
+    return false;
+  }
+
   /// Functional replay of one warp block in lane order: invokes fn and
   /// charges atomic commits/conflicts. Lanes of the same step committing
-  /// to the same destination serialize. The lane tables live in the
+  /// to the same destination serialize. The lane table lives in the
   /// caller-provided scratch so concurrent replays of distinct blocks
   /// (and nested engines) cannot alias.
   template <typename EdgeFn>
   void functional_block(std::span<const WorkItem> items, std::size_t b,
                         const BlockMeta& meta, SweepScratch& sc, EdgeFn&& fn,
                         KernelStats& stats) {
-    const std::uint32_t ws = config_.warp_size;
     const auto targets = graph_->targets();
     const auto weights = graph_->weights();
     const bool has_weights = !weights.empty();
-    const std::size_t base = b * ws;
-    const std::uint64_t bits = meta.bits;
-    const std::uint32_t lanes = meta.lanes;
+    const WorkItem* block = items.data() + b * config_.warp_size;
+    // Live-lane walk (file comment): `step` holds the lanes active at
+    // step j; a lane leaves `live` after its last edge.
+    std::uint64_t live = meta.bits;
     for (NodeId j = 0; j < meta.max_len; ++j) {
+      const std::uint64_t step = live;
       std::uint32_t commits = 0;
-      for (std::uint32_t l = 0; l < lanes; ++l) {
-        const WorkItem& item = items[base + l];
-        if (!((bits >> l) & 1) || j >= item.edge_count) {
-          sc.lane_active[l] = 0;
-          continue;
-        }
-        sc.lane_active[l] = 1;
+      for (std::uint64_t m = step; m != 0; m &= m - 1) {
+        const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
+        const WorkItem& item = block[l];
+        if (j + 1 == item.edge_count) live &= ~(std::uint64_t{1} << l);
         const EdgeId e = item.edge_begin + j;
         const NodeId v = targets[e];
         sc.lane_dst[l] = v;
         const Weight w = has_weights ? weights[e] : Weight{1};
         if (fn(item.src, v, w)) {
           ++commits;
-          for (std::uint32_t p = 0; p < l; ++p) {
-            if (sc.lane_active[p] && sc.lane_dst[p] == v) {
-              stats.atomic_conflicts += 1;
-              break;
-            }
+          if (conflicts_earlier_lane(step, l, sc.lane_dst.data(), v)) {
+            stats.atomic_conflicts += 1;
           }
         }
       }
@@ -715,12 +733,14 @@ class Engine {
       for (std::size_t pc = rc * kChunksPerWorker; pc < p_hi; ++pc) {
         for (const std::size_t b : chunk_live_[pc]) {
           const BlockMeta& meta = block_meta_[b];
-          const std::size_t base = b * ws;
+          const WorkItem* block = items.data() + b * ws;
           std::size_t r = blk_rec_base_[b];
+          std::uint64_t live = meta.bits;
           for (NodeId j = 0; j < meta.max_len; ++j) {
-            for (std::uint32_t l = 0; l < meta.lanes; ++l) {
-              const WorkItem& item = items[base + l];
-              if (!((meta.bits >> l) & 1) || j >= item.edge_count) continue;
+            for (std::uint64_t m = live; m != 0; m &= m - 1) {
+              const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
+              const WorkItem& item = block[l];
+              if (j + 1 == item.edge_count) live &= ~(std::uint64_t{1} << l);
               const EdgeId e = item.edge_begin + j;
               const NodeId v = targets[e];
               // graffix-lint: allow(R5) r walks [blk_rec_base_[b], +meta.recs), and blocks are partitioned across replay chunks — record ranges are disjoint by construction
@@ -823,26 +843,23 @@ class Engine {
       for (std::size_t pc = rc * kChunksPerWorker; pc < p_hi; ++pc) {
         for (const std::size_t b : chunk_live_[pc]) {
           const BlockMeta& meta = block_meta_[b];
-          const std::size_t base = b * ws;
+          const WorkItem* block = items.data() + b * ws;
           std::size_t r = blk_rec_base_[b];
+          std::uint64_t live = meta.bits;
           for (NodeId j = 0; j < meta.max_len; ++j) {
+            const std::uint64_t step = live;
             std::uint32_t commits = 0;
-            for (std::uint32_t l = 0; l < meta.lanes; ++l) {
-              const WorkItem& item = items[base + l];
-              if (!((meta.bits >> l) & 1) || j >= item.edge_count) {
-                sc.lane_active[l] = 0;
-                continue;
+            for (std::uint64_t m = step; m != 0; m &= m - 1) {
+              const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
+              if (j + 1 == block[l].edge_count) {
+                live &= ~(std::uint64_t{1} << l);
               }
-              sc.lane_active[l] = 1;
               const NodeId v = rec_[r].v;
               sc.lane_dst[l] = v;
               if (rec_commit_[r]) {
                 ++commits;
-                for (std::uint32_t p = 0; p < l; ++p) {
-                  if (sc.lane_active[p] && sc.lane_dst[p] == v) {
-                    st.atomic_conflicts += 1;
-                    break;
-                  }
+                if (conflicts_earlier_lane(step, l, sc.lane_dst.data(), v)) {
+                  st.atomic_conflicts += 1;
                 }
               }
               ++r;

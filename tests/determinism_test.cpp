@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -14,6 +15,8 @@
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/sssp.hpp"
+#include "core/experiment.hpp"
+#include "core/pipeline.hpp"
 #include "core/runners.hpp"
 #include "gen/suite.hpp"
 #include "graph/builder.hpp"
@@ -624,6 +627,148 @@ TEST(RunnerDeterminism, BcTraceMatchesSerialCumulativeStats) {
           << "threads=" << t << " trace point " << i;
     }
   }
+}
+
+// --- pinned runner goldens -------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct Fnv64 {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((x >> (8 * i)) & 0xff)) * 1099511628211ull;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+};
+
+/// Everything a runner reports, bit for bit: all 12 KernelStats counters,
+/// the simulated seconds, the scalar, every attribute and the iteration
+/// count.
+void digest_run(Fnv64& f, const core::RunOutput& out) {
+  const sim::KernelStats& s = out.stats;
+  for (const std::uint64_t c :
+       {s.sweeps, s.warp_steps, s.lane_slots, s.active_lanes,
+        s.edge_transactions, s.attr_transactions, s.attr_ideal_transactions,
+        s.shared_accesses, s.bank_conflicts, s.atomic_commits,
+        s.atomic_conflicts, s.aux_ops}) {
+    f.add(c);
+  }
+  f.add(out.sim_seconds);
+  f.add(out.scalar);
+  f.add(static_cast<std::uint64_t>(out.attr.size()));
+  for (const double a : out.attr) f.add(a);
+  f.add(static_cast<std::uint64_t>(out.iterations));
+}
+
+/// One digest per (graph, technique, baseline): the five algorithms run
+/// in paper row order on the technique's transformed graph ("exact" =
+/// Technique::None, the original graph).
+struct GoldenCell {
+  GraphPreset preset;
+  std::uint32_t scale;
+  Technique technique;
+  baselines::BaselineId baseline;
+  std::uint64_t digest;
+};
+
+// Recorded from the engine that visited every lane slot at every warp
+// step, before the live-lane-mask walk replaced it: the walk must not
+// change any runner output. The divergence transform adds no edges to
+// this small road lattice, so its rows equal the exact ones.
+constexpr GoldenCell kRunnerGoldens[] = {
+    {GraphPreset::Rmat26, 11, Technique::None,
+     baselines::BaselineId::TopologyDriven, 0xa0c4a5adf1dbc0daull},
+    {GraphPreset::Rmat26, 11, Technique::None,
+     baselines::BaselineId::TigrLike, 0x816ced153220cf87ull},
+    {GraphPreset::Rmat26, 11, Technique::None,
+     baselines::BaselineId::GunrockLike, 0xb14302521ca2a21bull},
+    {GraphPreset::Rmat26, 11, Technique::Coalescing,
+     baselines::BaselineId::TopologyDriven, 0x8ad80148b7b99f27ull},
+    {GraphPreset::Rmat26, 11, Technique::Coalescing,
+     baselines::BaselineId::TigrLike, 0xe1800894cd7880abull},
+    {GraphPreset::Rmat26, 11, Technique::Coalescing,
+     baselines::BaselineId::GunrockLike, 0xe5b1e61c92ea54d2ull},
+    {GraphPreset::Rmat26, 11, Technique::Latency,
+     baselines::BaselineId::TopologyDriven, 0x1b7ae6e2e2aaba6cull},
+    {GraphPreset::Rmat26, 11, Technique::Latency,
+     baselines::BaselineId::TigrLike, 0x209d2c915c3c2759ull},
+    {GraphPreset::Rmat26, 11, Technique::Latency,
+     baselines::BaselineId::GunrockLike, 0xf19e651a7767a500ull},
+    {GraphPreset::Rmat26, 11, Technique::Divergence,
+     baselines::BaselineId::TopologyDriven, 0x11d329298820bddaull},
+    {GraphPreset::Rmat26, 11, Technique::Divergence,
+     baselines::BaselineId::TigrLike, 0xefbc3d76d46324ccull},
+    {GraphPreset::Rmat26, 11, Technique::Divergence,
+     baselines::BaselineId::GunrockLike, 0xe24b8d97306cd9efull},
+    {GraphPreset::UsaRoad, 10, Technique::None,
+     baselines::BaselineId::TopologyDriven, 0x65daa5f2d174e1b1ull},
+    {GraphPreset::UsaRoad, 10, Technique::None,
+     baselines::BaselineId::TigrLike, 0x5168f9654c522e77ull},
+    {GraphPreset::UsaRoad, 10, Technique::None,
+     baselines::BaselineId::GunrockLike, 0x89f3c02cb2aa71f4ull},
+    {GraphPreset::UsaRoad, 10, Technique::Coalescing,
+     baselines::BaselineId::TopologyDriven, 0xf5ed15e7a4b0363eull},
+    {GraphPreset::UsaRoad, 10, Technique::Coalescing,
+     baselines::BaselineId::TigrLike, 0x77235d8cf96ca6b3ull},
+    {GraphPreset::UsaRoad, 10, Technique::Coalescing,
+     baselines::BaselineId::GunrockLike, 0xb6395e05bc5397b8ull},
+    {GraphPreset::UsaRoad, 10, Technique::Latency,
+     baselines::BaselineId::TopologyDriven, 0xa4644081e488aa27ull},
+    {GraphPreset::UsaRoad, 10, Technique::Latency,
+     baselines::BaselineId::TigrLike, 0xfe1f9aa7b8362e17ull},
+    {GraphPreset::UsaRoad, 10, Technique::Latency,
+     baselines::BaselineId::GunrockLike, 0x86add36b69c765faull},
+    {GraphPreset::UsaRoad, 10, Technique::Divergence,
+     baselines::BaselineId::TopologyDriven, 0x65daa5f2d174e1b1ull},
+    {GraphPreset::UsaRoad, 10, Technique::Divergence,
+     baselines::BaselineId::TigrLike, 0x5168f9654c522e77ull},
+    {GraphPreset::UsaRoad, 10, Technique::Divergence,
+     baselines::BaselineId::GunrockLike, 0x89f3c02cb2aa71f4ull},
+};
+
+std::uint64_t runner_cell_digest(const Pipeline& pipeline,
+                                 baselines::BaselineId baseline) {
+  core::RunConfig rc;
+  rc.baseline = baseline;
+  rc.seed = 13;
+  rc.sssp_source = pipeline.slot_of_node(busiest_node(pipeline.original()));
+  rc.bc_sample_count = 3;
+  Fnv64 f;
+  for (const core::Algorithm alg : core::all_algorithms()) {
+    digest_run(f, pipeline.run(alg, rc));
+  }
+  return f.h;
+}
+
+/// Runs every golden cell under the current chunking policy and compares.
+void expect_runner_goldens(const char* policy) {
+  for (const GoldenCell& cell : kRunnerGoldens) {
+    core::ExperimentConfig config;
+    config.technique = cell.technique;
+    config = core::resolve_for_graph(config, cell.preset);
+    Pipeline pipeline(make_preset(cell.preset, cell.scale, 13));
+    core::apply_technique(pipeline, config);
+    const std::uint64_t got = runner_cell_digest(pipeline, cell.baseline);
+    EXPECT_EQ(got, cell.digest)
+        << policy << ": " << preset_name(cell.preset) << " scale "
+        << cell.scale << " " << technique_name(cell.technique) << " "
+        << baselines::baseline_name(cell.baseline) << " digest 0x" << std::hex
+        << got;
+  }
+}
+
+TEST(RunnerGolden, AutomaticChunkPolicyMatchesPinnedDigests) {
+  expect_runner_goldens("automatic");
+}
+
+TEST(RunnerGolden, ShardedGroupedReplayMatchesPinnedDigests) {
+  // Eight forced chunks send every sweep with >= 8 warp blocks through
+  // the sharded Phase A and, for certified functors, the grouped replay.
+  const std::uint64_t grouped_before = sim::global_grouped_replays_for_test();
+  const sim::ScopedGlobalSweepChunks forced(8);
+  expect_runner_goldens("8 chunks");
+  EXPECT_GT(sim::global_grouped_replays_for_test(), grouped_before);
 }
 
 // --- host reference algorithms (cross-round ordering) ----------------

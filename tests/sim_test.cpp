@@ -510,6 +510,117 @@ TEST_P(EngineWarpWidth, NarrowWarpsNeverLessEfficient) {
 INSTANTIATE_TEST_SUITE_P(Widths, EngineWarpWidth,
                          ::testing::Values(4u, 8u, 16u, 32u, 64u));
 
+/// Edge cases of the engine's per-step live-lane masks, at a narrow and
+/// the widest warp (64 lanes fill the whole mask word).
+class LaneMask : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  struct Run {
+    KernelStats stats;
+    std::uint64_t calls = 0;
+  };
+
+  /// One gated sweep through each replay path — fused, two-phase serial,
+  /// and grouped (sound to certify here: `commits` is a pure predicate of
+  /// the edge) — which must agree on every counter and functor call.
+  template <typename Gate, typename Commits>
+  Run sweep_every_path(const Csr& g, Gate gate, Commits commits) {
+    SimConfig cfg = test_config();
+    cfg.warp_size = GetParam();
+    const auto items = items_all_vertices(g);
+    auto run = [&](std::size_t chunks, bool certified) {
+      Engine engine(g, cfg);
+      const ScopedSweepChunks forced(engine, chunks);
+      SweepOptions opts;
+      if (certified) opts.functor = {MergeKind::Min, MergeTarget::Dst};
+      Run r;
+      engine.sweep_gated(
+          items, opts, gate,
+          [&](NodeId u, NodeId v, Weight) {
+            ++r.calls;
+            return commits(u, v);
+          },
+          r.stats);
+      return r;
+    };
+    const Run fused = run(0, false);
+    for (const bool certified : {false, true}) {
+      const Run two_phase = run(1, certified);
+      EXPECT_EQ(two_phase.stats, fused.stats) << "certified=" << certified;
+      EXPECT_EQ(two_phase.calls, fused.calls) << "certified=" << certified;
+    }
+    return fused;
+  }
+};
+
+TEST_P(LaneMask, CommitConflictsWithEarlierNonCommittingLane) {
+  // Lanes 1 and 2 (one edge each, so step 0 is their last) and lane
+  // ws-2 all write node d at step 0; only lane ws-2 commits. Its
+  // conflict counts once, even though two earlier lanes match and
+  // neither of them committed. Every other lane writes its own node.
+  const std::uint32_t ws = GetParam();
+  const NodeId d = ws;
+  GraphBuilder b(2 * ws + 1);
+  for (NodeId u = 0; u < ws; ++u) {
+    const bool shares = u == 1 || u == 2 || u == ws - 2;
+    b.add_edge(u, shares ? d : ws + 1 + u);
+  }
+  b.add_edge(ws - 2, ws + 1 + ws - 2);  // a second step for lane ws-2
+  const Csr g = b.build();
+  const Run r = sweep_every_path(
+      g, [](NodeId) { return true; },
+      [&](NodeId u, NodeId v) { return u == ws - 2 && v == d; });
+  EXPECT_EQ(r.stats.atomic_commits, 1u);
+  EXPECT_EQ(r.stats.atomic_conflicts, 1u);
+  EXPECT_EQ(r.stats.warp_steps, 2u);
+  EXPECT_EQ(r.stats.active_lanes, ws + 1);
+  EXPECT_EQ(r.calls, ws + 1);
+}
+
+TEST_P(LaneMask, FinishedLaneNeverConflictsLater) {
+  // Lane 0 writes node d at step 0 and is then done; lane ws-1 writes x
+  // at step 0 and d at step 1. Lane 0's destination from its last step
+  // is stale at step 1 and must not conflict with lane ws-1's commit.
+  const std::uint32_t ws = GetParam();
+  const NodeId x = ws + 1;
+  const NodeId d = ws + 2;
+  GraphBuilder b(2 * ws);
+  b.add_edge(0, d);
+  b.add_edge(ws - 1, x);
+  b.add_edge(ws - 1, d);
+  const Csr g = b.build();
+  const Run r = sweep_every_path(g, [](NodeId) { return true; },
+                                 [](NodeId, NodeId) { return true; });
+  EXPECT_EQ(r.stats.atomic_commits, 3u);
+  EXPECT_EQ(r.stats.atomic_conflicts, 0u);
+  EXPECT_EQ(r.stats.warp_steps, 2u);
+  EXPECT_EQ(r.stats.active_lanes, 3u);
+}
+
+TEST_P(LaneMask, GatedInZeroLengthItemsAddNoWork) {
+  // Block 0: every lane is gated in, but only lane ws-1 has edges (two).
+  // Blocks 1 and 2: gated in, all zero-length. Only block 0's two steps
+  // are charged, and only lane ws-1 is ever active.
+  const std::uint32_t ws = GetParam();
+  GraphBuilder b(3 * ws);
+  b.add_edge(ws - 1, 2 * ws);
+  b.add_edge(ws - 1, 2 * ws + 1);
+  const Csr g = b.build();
+  const Run r = sweep_every_path(g, [](NodeId) { return true; },
+                                 [](NodeId, NodeId) { return true; });
+  EXPECT_EQ(r.stats.warp_steps, 2u);
+  EXPECT_EQ(r.stats.lane_slots, 2u * ws);
+  EXPECT_EQ(r.stats.active_lanes, 2u);
+  EXPECT_EQ(r.stats.atomic_commits, 2u);
+  EXPECT_EQ(r.calls, 2u);
+  // Gating the zero-length lanes out instead changes nothing.
+  const Run gated = sweep_every_path(
+      g, [&](NodeId u) { return u == ws - 1; },
+      [](NodeId, NodeId) { return true; });
+  EXPECT_EQ(gated.stats, r.stats);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, LaneMask, ::testing::Values(8u, 64u));
+
 TEST(Stats, Accumulation) {
   KernelStats a, b;
   a.warp_steps = 5;
