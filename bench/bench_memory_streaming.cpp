@@ -1,5 +1,5 @@
 // Paper-scale memory smoke: streaming build -> divergence transform ->
-// one certified min-plus sweep, with per-phase wall time, RSS, and
+// one min-plus sweep, with per-phase wall time, RSS, and
 // scratch-arena high-water recorded, plus the final graph's
 // Csr::memory_bytes() so the peak can be gated against the graph size.
 //
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   });
   graph = std::move(transformed.graph);
 
-  // Phase 3: one certified min-plus sweep (Jacobi relaxation from the
+  // Phase 3: one min-plus sweep (Jacobi relaxation from the
   // max-degree node) over the transformed graph — proves the engine's
   // sweep scratch stays within the arena budget at paper scale.
   std::uint64_t reached = 0;
@@ -108,7 +108,6 @@ int main(int argc, char** argv) {
     const auto items = sim::items_all_vertices(graph);
     sim::SweepOptions opts;
     opts.weighted = graph.has_weights();
-    opts.functor = {sim::MergeKind::Min, sim::MergeTarget::Dst};
     std::vector<double> dist(graph.num_slots(),
                              std::numeric_limits<double>::infinity());
     dist[max_degree_node(graph)] = 0.0;

@@ -73,7 +73,7 @@ struct Cell {
 /// Order-sensitive digest of a frontier/changed list, representable
 /// exactly as a double (52 low bits of an FNV-1a fold): two lists agree
 /// on the digest only if they hold the same vertices in the same order,
-/// which is exactly what the side-channel merge promises.
+/// which is exactly what the serial replay promises.
 double order_digest(const std::vector<NodeId>& list) {
   std::uint64_t h = 1469598103934665603ull;
   for (const NodeId v : list) h = (h ^ v) * 1099511628211ull;
@@ -103,19 +103,16 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
 
   std::vector<Cell> cells;
 
-  // Raw lockstep sweeps with a certified Jacobi min-plus functor (reads
-  // the previous sweep's snapshot, merges min into `next`): exercises
-  // the sharded accounting phase AND the grouped parallel replay — the
-  // cell the CI speedup floor gates on. Bit-identity across thread
-  // counts here pins the grouped replay against the serial oracle.
+  // Raw lockstep sweeps with a Jacobi min-plus functor (reads the
+  // previous sweep's snapshot, merges min into `next`): exercises the
+  // sharded accounting phase plus the serial replay, one of the cells
+  // the CI speedup floor gates on.
   cells.push_back({"engine_sweep", [&] {
     CellRun r;
     graffix::sim::Engine engine(graph, graffix::sim::SimConfig{});
     const auto items = graffix::sim::items_all_vertices(graph);
     graffix::sim::SweepOptions opts;
     opts.weighted = graph.has_weights();
-    opts.functor = {graffix::sim::MergeKind::Min,
-                    graffix::sim::MergeTarget::Dst};
     std::vector<double> dist(graph.num_slots(),
                              std::numeric_limits<double>::infinity());
     dist[source] = 0.0;
@@ -140,9 +137,9 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
     return r;
   }});
 
-  // Same sweeps with the order-sensitive Gauss-Seidel variant (relaxes
-  // against the array it writes): must take the serial-replay fallback,
-  // so this cell is the ablation showing what the fallback costs.
+  // Same sweeps with the Gauss-Seidel variant (relaxes against the array
+  // it writes, so a commit feeds later calls of the same sweep): the
+  // order-sensitive shape of SSSP's cluster rounds.
   cells.push_back({"engine_sweep_serial", [&] {
     CellRun r;
     graffix::sim::Engine engine(graph, graffix::sim::SimConfig{});
@@ -171,138 +168,115 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
     return r;
   }});
 
-  // SSSP relax exactly as run_sssp certifies it ({Min, Dst} plus the
-  // stall-detection side channel: improvement sums, the discovery flag,
-  // and the changed list routed through a SideChannel). The per-rep
-  // side-channel outputs — the very values the stall decision reads —
-  // are folded into attr, so the bit-identity gate covers the stall and
-  // frontier decisions, not just the distances. The *_serial twin runs
-  // the same functor uncertified (side channel in direct mode): the
-  // fallback ablation.
-  auto sssp_relax_cell = [&](const char* name, bool certified) {
-    cells.push_back({name, [&, certified] {
-      CellRun r;
-      graffix::sim::Engine engine(graph, graffix::sim::SimConfig{});
-      const auto items = graffix::sim::items_all_vertices(graph);
-      graffix::sim::SweepOptions opts;
-      opts.weighted = graph.has_weights();
-      graffix::sim::SideChannel side(/*n_sums=*/2);
-      std::vector<NodeId> changed;
-      side.bind_appends(&changed);
-      if (certified) {
-        opts.functor = {graffix::sim::MergeKind::Min,
-                        graffix::sim::MergeTarget::Dst};
-        opts.side = &side;
-      }
-      graffix::AtomicBitset changed_mask(graph.num_slots());
-      std::vector<double> dist(graph.num_slots(),
-                               std::numeric_limits<double>::infinity());
-      dist[source] = 0.0;
-      std::vector<double> next(dist);
-      const double eps = 1e-9;
-      std::vector<double> decisions;
-      const double t0 = now_seconds();
-      for (int rep = 0; rep < engine_reps; ++rep) {
-        side.reset();
-        changed.clear();
-        changed_mask.clear();
+  // SSSP relax exactly as run_sssp runs it: the stall-detection sums,
+  // the discovery flag and the changed list live in plain locals. The
+  // per-rep values — the very values the stall decision reads — are
+  // folded into attr, so the bit-identity gate covers the stall and
+  // frontier decisions, not just the distances.
+  cells.push_back({"sssp_relax", [&] {
+    CellRun r;
+    graffix::sim::Engine engine(graph, graffix::sim::SimConfig{});
+    const auto items = graffix::sim::items_all_vertices(graph);
+    graffix::sim::SweepOptions opts;
+    opts.weighted = graph.has_weights();
+    graffix::AtomicBitset changed_mask(graph.num_slots());
+    std::vector<double> dist(graph.num_slots(),
+                             std::numeric_limits<double>::infinity());
+    dist[source] = 0.0;
+    std::vector<double> next(dist);
+    const double eps = 1e-9;
+    std::vector<NodeId> changed;
+    std::vector<double> decisions;
+    const double t0 = now_seconds();
+    for (int rep = 0; rep < engine_reps; ++rep) {
+      double improvement = 0.0;
+      double improvement_base = 0.0;
+      bool discovered = false;
+      changed.clear();
+      changed_mask.clear();
+      engine.sweep_gated(
+          items, opts, [&](NodeId u) { return std::isfinite(dist[u]); },
+          [&](NodeId u, NodeId v, Weight w) {
+            const double nd = dist[u] + static_cast<double>(w);
+            if (nd < next[v] - eps * (1.0 + std::abs(nd))) {
+              if (std::isfinite(next[v])) {
+                improvement += next[v] - nd;
+              } else {
+                discovered = true;
+              }
+              improvement_base += 1.0 + std::abs(nd);
+              next[v] = nd;
+              if (changed_mask.set(v)) changed.push_back(v);
+              return true;
+            }
+            return false;
+          },
+          r.stats);
+      dist = next;
+      decisions.push_back(improvement);
+      decisions.push_back(improvement_base);
+      decisions.push_back(discovered ? 1.0 : 0.0);
+      decisions.push_back(static_cast<double>(changed.size()));
+      decisions.push_back(order_digest(changed));
+    }
+    r.wall = now_seconds() - t0;
+    r.attr = std::move(dist);
+    r.attr.insert(r.attr.end(), decisions.begin(), decisions.end());
+    return r;
+  }});
+
+  // BC forward exactly as run_bc runs it (sigma merge plus frontier
+  // discovery appended to a plain list): one full level-synchronous
+  // forward pass per rep, every wave's frontier size and order digest
+  // folded into attr alongside sigma and the levels.
+  cells.push_back({"bc_forward", [&] {
+    CellRun r;
+    graffix::sim::Engine engine(graph, graffix::sim::SimConfig{});
+    const auto items = graffix::sim::items_all_vertices(graph);
+    const graffix::sim::SweepOptions opts{};
+    const NodeId n_slots = graph.num_slots();
+    std::vector<NodeId> level(n_slots);
+    std::vector<double> sigma(n_slots);
+    std::vector<double> waves;
+    const int reps = std::max(1, engine_reps / 4);
+    const double t0 = now_seconds();
+    for (int rep = 0; rep < reps; ++rep) {
+      std::fill(level.begin(), level.end(), graffix::kInvalidNode);
+      std::fill(sigma.begin(), sigma.end(), 0.0);
+      level[source] = 0;
+      sigma[source] = 1.0;
+      NodeId depth = 0;
+      while (true) {
+        std::vector<NodeId> next_frontier;
         engine.sweep_gated(
-            items, opts, [&](NodeId u) { return std::isfinite(dist[u]); },
-            [&](NodeId u, NodeId v, Weight w) {
-              const double nd = dist[u] + static_cast<double>(w);
-              if (nd < next[v] - eps * (1.0 + std::abs(nd))) {
-                if (std::isfinite(next[v])) {
-                  side.add(0, next[v] - nd);
-                } else {
-                  side.raise(0);
-                }
-                side.add(1, 1.0 + std::abs(nd));
-                next[v] = nd;
-                if (changed_mask.set(v)) side.append(v);
+            items, opts, [&](NodeId u) { return level[u] == depth; },
+            [&](NodeId u, NodeId v, Weight) {
+              if (level[u] != depth) return false;
+              if (level[v] == graffix::kInvalidNode) {
+                level[v] = depth + 1;
+                next_frontier.push_back(v);
+              }
+              if (level[v] == depth + 1) {
+                sigma[v] += sigma[u];
                 return true;
               }
               return false;
             },
             r.stats);
-        dist = next;
-        decisions.push_back(side.sum(0));
-        decisions.push_back(side.sum(1));
-        decisions.push_back(side.flag(0) ? 1.0 : 0.0);
-        decisions.push_back(static_cast<double>(changed.size()));
-        decisions.push_back(order_digest(changed));
+        waves.push_back(static_cast<double>(next_frontier.size()));
+        waves.push_back(order_digest(next_frontier));
+        if (next_frontier.empty()) break;
+        ++depth;
       }
-      r.wall = now_seconds() - t0;
-      r.attr = std::move(dist);
-      r.attr.insert(r.attr.end(), decisions.begin(), decisions.end());
-      return r;
-    }});
-  };
-  sssp_relax_cell("sssp_relax", true);
-  sssp_relax_cell("sssp_relax_serial", false);
-
-  // BC forward exactly as run_bc certifies it ({Sum, Dst} sigma merge
-  // plus frontier discovery through the side channel): one full
-  // level-synchronous forward pass per rep, every wave's frontier size
-  // and order digest folded into attr alongside sigma and the levels.
-  auto bc_forward_cell = [&](const char* name, bool certified) {
-    cells.push_back({name, [&, certified] {
-      CellRun r;
-      graffix::sim::Engine engine(graph, graffix::sim::SimConfig{});
-      const auto items = graffix::sim::items_all_vertices(graph);
-      graffix::sim::SweepOptions opts;
-      graffix::sim::SideChannel side;
-      if (certified) {
-        opts.functor = {graffix::sim::MergeKind::Sum,
-                        graffix::sim::MergeTarget::Dst};
-        opts.side = &side;
-      }
-      const NodeId n_slots = graph.num_slots();
-      std::vector<NodeId> level(n_slots);
-      std::vector<double> sigma(n_slots);
-      std::vector<double> waves;
-      const int reps = std::max(1, engine_reps / 4);
-      const double t0 = now_seconds();
-      for (int rep = 0; rep < reps; ++rep) {
-        std::fill(level.begin(), level.end(), graffix::kInvalidNode);
-        std::fill(sigma.begin(), sigma.end(), 0.0);
-        level[source] = 0;
-        sigma[source] = 1.0;
-        NodeId depth = 0;
-        while (true) {
-          std::vector<NodeId> next_frontier;
-          side.bind_appends(&next_frontier);
-          engine.sweep_gated(
-              items, opts, [&](NodeId u) { return level[u] == depth; },
-              [&](NodeId u, NodeId v, Weight) {
-                if (level[u] != depth) return false;
-                if (level[v] == graffix::kInvalidNode) {
-                  level[v] = depth + 1;
-                  side.append(v);
-                }
-                if (level[v] == depth + 1) {
-                  sigma[v] += sigma[u];
-                  return true;
-                }
-                return false;
-              },
-              r.stats);
-          waves.push_back(static_cast<double>(next_frontier.size()));
-          waves.push_back(order_digest(next_frontier));
-          if (next_frontier.empty()) break;
-          ++depth;
-        }
-      }
-      r.wall = now_seconds() - t0;
-      r.attr.assign(sigma.begin(), sigma.end());
-      for (NodeId s = 0; s < n_slots; ++s) {
-        r.attr.push_back(static_cast<double>(level[s]));
-      }
-      r.attr.insert(r.attr.end(), waves.begin(), waves.end());
-      return r;
-    }});
-  };
-  bc_forward_cell("bc_forward", true);
-  bc_forward_cell("bc_forward_serial", false);
+    }
+    r.wall = now_seconds() - t0;
+    r.attr.assign(sigma.begin(), sigma.end());
+    for (NodeId s = 0; s < n_slots; ++s) {
+      r.attr.push_back(static_cast<double>(level[s]));
+    }
+    r.attr.insert(r.attr.end(), waves.begin(), waves.end());
+    return r;
+  }});
 
   auto algo_cell = [&](const char* name, Algorithm alg,
                        graffix::baselines::BaselineId baseline) {
@@ -429,11 +403,14 @@ int main(int argc, char** argv) {
     // "procs" records the machine width this document was measured on:
     // CI's speedup floor only makes sense where 8 workers can actually
     // run, so the gate reads it to decide warn-only vs hard.
-    // schema 2: adds the sssp_relax/bc_forward certified cells and
-    // their *_serial fallback ablations to every scale's configs.
+    // schema 2: adds the sssp_relax/bc_forward cells and their *_serial
+    // twins to every scale's configs.
     // schema 3: adds the 4-thread wall and speedup_4v1 to every config.
+    // schema 4: drops sssp_relax_serial and bc_forward_serial — every
+    // sweep now replays serially, so they ran the same functor down the
+    // same path as sssp_relax and bc_forward.
     std::fprintf(json,
-                 "{\"bench\":\"bench_micro_engine\",\"schema\":3,"
+                 "{\"bench\":\"bench_micro_engine\",\"schema\":4,"
                  "\"seed\":%llu,\"procs\":%d,\"scales\":[",
                  static_cast<unsigned long long>(options.seed),
                  omp_get_num_procs());

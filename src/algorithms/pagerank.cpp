@@ -27,10 +27,14 @@ PagerankResult pagerank(const Csr& graph, const PagerankParams& params) {
   const double base = (1.0 - params.damping) / n;
   for (std::uint32_t iter = 0; iter < params.max_iterations; ++iter) {
     ++result.iterations;
-    // Dangling nodes leak their rank uniformly.
-    double dangling = parallel_reduce_sum(NodeId{0}, slots, [&](NodeId s) {
-      return (!graph.is_hole(s) && out_degree[s] == 0) ? rank[s] : 0.0;
-    });
+    // Dangling nodes leak their rank uniformly. This sum and `delta`
+    // below fold serially in slot order: the rounded totals feed every
+    // rank and the iteration count, so their grouping must not follow
+    // the thread count (DESIGN.md §7).
+    double dangling = 0.0;
+    for (NodeId s = 0; s < slots; ++s) {
+      if (!graph.is_hole(s) && out_degree[s] == 0) dangling += rank[s];
+    }
     const double dangling_share = params.damping * dangling / n;
     parallel_for_dynamic(NodeId{0}, slots, [&](NodeId v) {
       if (graph.is_hole(v)) return;
@@ -40,9 +44,10 @@ PagerankResult pagerank(const Csr& graph, const PagerankParams& params) {
       }
       next[v] = base + dangling_share + params.damping * sum;
     });
-    const double delta = parallel_reduce_sum(NodeId{0}, slots, [&](NodeId s) {
-      return graph.is_hole(s) ? 0.0 : std::abs(next[s] - rank[s]);
-    });
+    double delta = 0.0;
+    for (NodeId s = 0; s < slots; ++s) {
+      if (!graph.is_hole(s)) delta += std::abs(next[s] - rank[s]);
+    }
     rank.swap(next);
     if (delta < params.tolerance) break;
   }

@@ -12,6 +12,7 @@
 #include "algorithms/bc.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
+#include "util/arena.hpp"
 #include "util/bitset.hpp"
 #include "util/macros.hpp"
 #include "util/parallel.hpp"
@@ -114,26 +115,17 @@ class Driver {
   }
 
   /// Global sweep over `active` slots (reordered into warp order here).
-  /// `traits` certifies the functor for the engine's grouped parallel
-  /// replay (see sim::FunctorTraits); the default is uncertified, which
-  /// replays serially and is always safe. A certified functor with sweep
-  /// aggregates (stall sums, frontier appends) routes them through
-  /// `side`, which both the boundary and cluster engines merge
-  /// deterministically (sim::SideChannel).
   template <typename Fn>
-  void sweep(std::vector<NodeId>& active, Fn&& fn,
-             sim::FunctorTraits traits = {}, sim::SideChannel* side = nullptr) {
+  void sweep(std::vector<NodeId>& active, Fn&& fn) {
     order_active(active);
-    sweep_impl(active, [](NodeId) { return true; }, std::forward<Fn>(fn),
-               traits, side);
+    sweep_impl(active, [](NodeId) { return true; }, std::forward<Fn>(fn));
   }
 
   /// Global sweep over every slot in warp order.
   template <typename Fn>
-  void sweep_all(Fn&& fn, sim::FunctorTraits traits = {},
-                 sim::SideChannel* side = nullptr) {
+  void sweep_all(Fn&& fn) {
     sweep_impl(layout_->order, [](NodeId) { return true; },
-               std::forward<Fn>(fn), traits, side);
+               std::forward<Fn>(fn));
   }
 
   /// Topology-driven sweep with a per-vertex gate: every slot is assigned
@@ -142,10 +134,8 @@ class Driver {
   /// is what keeps topology-driven baselines from paying full gather
   /// traffic for untouched vertices while still paying divergence.
   template <typename Gate, typename Fn>
-  void sweep_all_gated(Gate&& gate, Fn&& fn, sim::FunctorTraits traits = {},
-                       sim::SideChannel* side = nullptr) {
-    sweep_impl(layout_->order, std::forward<Gate>(gate), std::forward<Fn>(fn),
-               traits, side);
+  void sweep_all_gated(Gate&& gate, Fn&& fn) {
+    sweep_impl(layout_->order, std::forward<Gate>(gate), std::forward<Fn>(fn));
   }
 
   /// One round of shared-memory inner iterations: every cluster selected
@@ -200,17 +190,13 @@ class Driver {
   /// the staged subgraph itself — resident in shared memory.
   template <typename Gate, typename Fn>
   void sweep_impl(std::span<const NodeId> slots_in_order, Gate&& gate,
-                  Fn&& fn, sim::FunctorTraits traits = {},
-                  sim::SideChannel* side = nullptr) {
+                  Fn&& fn) {
     const std::span<const WorkItem> work = work_for(slots_in_order);
     track_primary(work.size());
     // Each lane's gate check is one coalesced state load.
     engine_->charge_uniform_kernel(work.size(), 1.0, stats_);
     stats_.sweeps -= 1;  // the gate load is part of this launch
-    SweepOptions opts = opts_;
-    opts.functor = traits;
-    opts.side = side;
-    engine_->sweep_gated(work, opts, gate, fn, stats_);
+    engine_->sweep_gated(work, opts_, gate, fn, stats_);
     if (has_clusters()) {
       const std::span<const WorkItem> cwork = cluster_work_for(slots_in_order);
       if (!cwork.empty()) {
@@ -218,13 +204,10 @@ class Driver {
         // re-streams the cluster edges from global memory (that IS the
         // staging load); only inner rounds within one launch (see
         // cluster_phase_round) get resident edges. Not its own launch:
-        // it is part of the boundary sweep's. The functor is the same
-        // one, so the certification carries over.
+        // it is part of the boundary sweep's.
         primary_items_ += cwork.size();
-        SweepOptions copts = cluster_opts(false);
-        copts.functor = traits;
-        copts.side = side;
-        cluster_engine_->sweep_gated(cwork, copts, gate, fn, stats_);
+        cluster_engine_->sweep_gated(cwork, cluster_opts(false), gate, fn,
+                                     stats_);
       }
       charge_staging(slots_in_order.size());
     }
@@ -320,36 +303,37 @@ class Driver {
       }
       return;
     }
-    if (pos_epoch_.empty()) {
-      pos_count_.assign(pos.size(), 0);
-      pos_epoch_.assign(pos.size(), 0);
-      pos_word_.assign((pos.size() + 63) / 64, 0);
+    OrderScratch& sc = order_scratch_;
+    if (sc.epoch.empty()) {
+      sc.count.assign(pos.size(), 0);
+      sc.epoch.assign(pos.size(), 0);
+      sc.word.assign((pos.size() + 63) / 64, 0);
     }
-    pos_gen_ += 1;
+    sc.gen += 1;
     std::size_t wmin = std::numeric_limits<std::size_t>::max();
     std::size_t wmax = 0;
     for (const NodeId a : active) {
       const NodeId p = pos[a];
-      if (pos_epoch_[p] != pos_gen_) {
-        pos_epoch_[p] = pos_gen_;
-        pos_count_[p] = 0;
+      if (sc.epoch[p] != sc.gen) {
+        sc.epoch[p] = sc.gen;
+        sc.count[p] = 0;
       }
-      pos_count_[p] += 1;
+      sc.count[p] += 1;
       const std::size_t w = p / 64;
-      pos_word_[w] |= std::uint64_t{1} << (p % 64);
+      sc.word[w] |= std::uint64_t{1} << (p % 64);
       wmin = std::min(wmin, w);
       wmax = std::max(wmax, w);
     }
     std::size_t k = 0;
     for (std::size_t w = wmin; w <= wmax; ++w) {
-      std::uint64_t bits = pos_word_[w];
+      std::uint64_t bits = sc.word[w];
       if (bits == 0) continue;
-      pos_word_[w] = 0;
+      sc.word[w] = 0;
       while (bits != 0) {
         const auto p = static_cast<NodeId>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
         bits &= bits - 1;
-        for (std::uint32_t c = pos_count_[p]; c > 0; --c) {
+        for (std::uint32_t c = sc.count[p]; c > 0; --c) {
           active[k++] = order[p];
         }
       }
@@ -586,12 +570,18 @@ class Driver {
   std::vector<WorkItem> cached_cluster_work_;
   bool cached_cluster_work_built_ = false;
 
-  // order_active() scratch: duplicate counts + touched-position bitmap,
-  // both epoch-stamped so no per-sweep clearing is needed.
-  std::vector<std::uint32_t> pos_count_;
-  std::vector<std::uint64_t> pos_epoch_;
-  std::vector<std::uint64_t> pos_word_;
-  std::uint64_t pos_gen_ = 0;
+  /// order_active() scratch: duplicate counts + touched-position bitmap,
+  /// both epoch-stamped so no per-sweep clearing is needed. A Driver, like
+  /// an Engine, belongs to one thread of control (BC forks one per source
+  /// task), so this is per-worker scratch, arena-pooled like the
+  /// engine's SweepScratch.
+  struct OrderScratch {
+    ArenaVector<std::uint32_t> count;
+    ArenaVector<std::uint64_t> epoch;
+    ArenaVector<std::uint64_t> word;
+    std::uint64_t gen = 0;
+  };
+  OrderScratch order_scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -630,57 +620,33 @@ RunOutput run_sssp(const Csr& graph, const RunConfig& config) {
   // progress is done. We track (a) discoveries (a vertex turning finite
   // — always real progress) and (b) the total improvement relative to
   // the magnitudes involved, and stop after two consecutive iterations
-  // of neither.
-  //
-  // Certified {Min, Dst} for grouped replay (DESIGN.md §7): the min-plus
-  // core reads the sweep-stable `dist` snapshot plus target state
-  // (next[v], the changed-mask bit), writes only target state — and the
-  // stall aggregates plus the changed list, which used to pin this
-  // functor serial, flow through a SideChannel: the grouped replay
-  // captures them per record and folds them in serial (block, step,
-  // lane) order, so the rounded sums, the discovery flag, and the
-  // changed-list order are byte-identical to the serial oracle.
-  enum : std::size_t { kImprovement = 0, kImprovementBase = 1 };
-  constexpr std::size_t kDiscovered = 0;
-  sim::SideChannel side(/*n_sums=*/2);
-  side.bind_appends(&changed);
-  const sim::FunctorTraits relax_traits{sim::MergeKind::Min,
-                                        sim::MergeTarget::Dst};
-  auto relax = [&](NodeId u, NodeId v, Weight w) {
-    const double nd = dist[u] + static_cast<double>(w);
-    if (nd < next[v] - eps * (1.0 + std::abs(nd))) {
-      if (std::isfinite(next[v])) {
-        side.add(kImprovement, next[v] - nd);
-      } else {
-        side.raise(kDiscovered);
-      }
-      side.add(kImprovementBase, 1.0 + std::abs(nd));
-      next[v] = nd;
-      if (changed_mask.set(v)) side.append(v);
-      return true;
+  // of neither. The engine calls functors in serial warp/lane order, so
+  // the rounded sums and the changed-list order are deterministic.
+  double improvement = 0.0;
+  double improvement_base = 0.0;
+  bool discovered = false;
+  // Commits candidate distance nd to v if it improves beyond tolerance.
+  auto improve = [&](NodeId v, double nd) {
+    if (!(nd < next[v] - eps * (1.0 + std::abs(nd)))) return false;
+    if (std::isfinite(next[v])) {
+      improvement += next[v] - nd;
+    } else {
+      discovered = true;
     }
-    return false;
+    improvement_base += 1.0 + std::abs(nd);
+    next[v] = nd;
+    if (changed_mask.set(v)) changed.push_back(v);
+    return true;
+  };
+  auto relax = [&](NodeId u, NodeId v, Weight w) {
+    return improve(v, dist[u] + static_cast<double>(w));
   };
   // Cluster inner iterations are sequential micro-launches inside shared
   // memory: they may read their own updates (that is their whole point,
-  // per §3's t ~ 2x diameter reuse argument), so relax against `next`.
-  // That Gauss-Seidel read keeps THIS functor uncertified — no side
-  // channel can fix an order-sensitive value chain — so its sweeps
-  // replay serially and the shared channel stays in direct mode there.
+  // per §3's t ~ 2x diameter reuse argument), so relax against `next`
+  // (Gauss-Seidel).
   auto cluster_relax = [&](NodeId u, NodeId v, Weight w) {
-    const double nd = next[u] + static_cast<double>(w);
-    if (nd < next[v] - eps * (1.0 + std::abs(nd))) {
-      if (std::isfinite(next[v])) {
-        side.add(kImprovement, next[v] - nd);
-      } else {
-        side.raise(kDiscovered);
-      }
-      side.add(kImprovementBase, 1.0 + std::abs(nd));
-      next[v] = nd;
-      if (changed_mask.set(v)) side.append(v);
-      return true;
-    }
-    return false;
+    return improve(v, next[u] + static_cast<double>(w));
   };
 
   std::uint32_t stalled = 0;
@@ -688,13 +654,14 @@ RunOutput run_sssp(const Csr& graph, const RunConfig& config) {
     ++out.iterations;
     changed.clear();
     changed_mask.clear();
-    side.reset();
+    improvement = 0.0;
+    improvement_base = 0.0;
+    discovered = false;
     if (driver.data_driven()) {
-      driver.sweep(active, relax, relax_traits, &side);
+      driver.sweep(active, relax);
     } else {
       driver.sweep_all_gated(
-          [&](NodeId u) { return std::isfinite(dist[u]); }, relax,
-          relax_traits, &side);
+          [&](NodeId u) { return std::isfinite(dist[u]); }, relax);
     }
     // Only clusters that actually received new information this
     // iteration run their inner refinement rounds — under data-driven
@@ -727,9 +694,8 @@ RunOutput run_sssp(const Csr& graph, const RunConfig& config) {
     dist = next;
     if (config.collect_trace) out.trace.push_back({out.iterations, driver.stats()});
     if (changed.empty()) break;
-    if (!side.flag(kDiscovered) &&
-        side.sum(kImprovement) <
-            100.0 * eps * std::max(1.0, side.sum(kImprovementBase))) {
+    if (!discovered &&
+        improvement < 100.0 * eps * std::max(1.0, improvement_base)) {
       if (++stalled >= 2) break;
     } else {
       stalled = 0;
@@ -790,29 +756,18 @@ RunOutput run_pagerank(const Csr& graph, const RunConfig& config) {
     // engine serves intra-cluster gathers from shared memory. Inner
     // refinement rounds are reserved for monotone relaxations (SSSP) —
     // for PR they would fight the global power iteration's convergence.
-    // Both functors are certified plus-monoid merges (grouped parallel
-    // replay, DESIGN.md §7): they read only sweep-stable state (rank and
-    // degree are not written during the sweep) plus the accumulator slot
-    // of their merge target, write only that slot, and have no other
-    // side effects. Per-target absorption order equals the serial replay
-    // order, so the rounded double sums are bit-identical to the serial
-    // engine.
     if (config.pr_pull) {
       // Transpose sweep: u is the gathering vertex, v its in-neighbor.
       // No atomic commit — each lane owns next[u].
-      driver.sweep_all(
-          [&](NodeId u, NodeId v, Weight) {
-            next[u] += rank[v] / degree[v];
-            return false;
-          },
-          {sim::MergeKind::Sum, sim::MergeTarget::Src});
+      driver.sweep_all([&](NodeId u, NodeId v, Weight) {
+        next[u] += rank[v] / degree[v];
+        return false;
+      });
     } else {
-      driver.sweep_all(
-          [&](NodeId u, NodeId v, Weight) {
-            next[v] += rank[u] / degree[u];
-            return true;
-          },
-          {sim::MergeKind::Sum, sim::MergeTarget::Dst});
+      driver.sweep_all([&](NodeId u, NodeId v, Weight) {
+        next[v] += rank[u] / degree[u];
+        return true;
+      });
     }
 
     double dangling = 0.0;
@@ -929,27 +884,17 @@ RunOutput run_bc(const Csr& graph, const RunConfig& config) {
     // replica whose primary was just discovered propagates in the same
     // wave it would have as part of the original node.
     NodeId depth = 0;
-    // Certified {Sum, Dst} for grouped replay (DESIGN.md §7): the sigma
-    // accumulation is a clean plus-merge into the target — level[u] and
-    // sigma[u] are sweep-stable for every recorded call (a level-d
-    // vertex is never written this sweep: only kInvalidNode slots
-    // transition, to depth+1) and level[v]/sigma[v] are target state.
-    // The frontier discovery, which used to pin this functor serial,
-    // appends through a SideChannel: per-record capture concatenated in
-    // serial (block, step, lane) order makes the next frontier's
-    // contents AND order byte-identical to the serial oracle.
-    sim::SideChannel frontier_side;
-    const sim::FunctorTraits forward_traits{sim::MergeKind::Sum,
-                                            sim::MergeTarget::Dst};
+    // The forward functor's discoveries; reused across waves, so its
+    // capacity grows once to the widest wave.
+    ArenaVector<NodeId> next_frontier;
     while (true) {
       sync_replicas_forward(depth, &by_level[depth]);
-      std::vector<NodeId> next_frontier;
-      frontier_side.bind_appends(&next_frontier);
+      next_frontier.clear();
       auto forward = [&](NodeId u, NodeId v, Weight) {
         if (level[u] != depth) return false;
         if (level[v] == kInvalidNode) {
           level[v] = depth + 1;
-          frontier_side.append(v);
+          next_frontier.push_back(v);
         }
         if (level[v] == depth + 1) {
           sigma[v] += sigma[u];
@@ -959,28 +904,19 @@ RunOutput run_bc(const Csr& graph, const RunConfig& config) {
       };
       if (drv.data_driven()) {
         std::vector<NodeId> frontier = by_level[depth];
-        drv.sweep(frontier, forward, forward_traits, &frontier_side);
+        drv.sweep(frontier, forward);
       } else {
         drv.sweep_all_gated([&](NodeId u) { return level[u] == depth; },
-                            forward, forward_traits, &frontier_side);
+                            forward);
       }
       if (next_frontier.empty()) break;
       ++depth;
-      // graffix-lint: allow(R6) appends a moved-from frontier (pointer steal, no element copy) to the per-source history
-      by_level.push_back(std::move(next_frontier));
+      // graffix-lint: allow(R6) copies the finished wave into the per-source history (one exact-size allocation per wave)
+      by_level.emplace_back(next_frontier.begin(), next_frontier.end());
     }
 
     // Backward pass: dependency accumulation level by level (Eq. 1).
     for (NodeId d = depth + 1; d-- > 0;) {
-      // Certified plus-merge into the SOURCE side (grouped parallel
-      // replay, DESIGN.md §7): within one depth-d sweep the functor
-      // writes only delta[u] (u at level d) and reads delta[v]/sigma[v]
-      // for v at level d+1 — state no call of this sweep writes — plus
-      // level/sigma, which are frozen after the forward pass. Per-u
-      // absorption order equals the serial replay order, so the rounded
-      // double accumulation is bit-identical to the serial engine.
-      const sim::FunctorTraits backward_traits{sim::MergeKind::Sum,
-                                               sim::MergeTarget::Src};
       auto backward = [&](NodeId u, NodeId v, Weight) {
         if (level[u] != d) return false;
         if (level[v] == d + 1 && sigma[v] > 0.0 && sigma[u] > 0.0) {
@@ -991,10 +927,10 @@ RunOutput run_bc(const Csr& graph, const RunConfig& config) {
       };
       if (drv.data_driven()) {
         std::vector<NodeId> frontier = by_level[d];
-        drv.sweep(frontier, backward, backward_traits);
+        drv.sweep(frontier, backward);
       } else {
         drv.sweep_all_gated([&](NodeId u) { return level[u] == d; },
-                            backward, backward_traits);
+                            backward);
       }
     }
     // Copies of a node accumulate dependency through disjoint out-edge

@@ -8,12 +8,11 @@
 namespace graffix::sim {
 
 namespace {
-// Process-wide testing knobs (see the header): driver-level differential
+// Process-wide testing knob (see the header): driver-level differential
 // tests cannot reach the engines run_sssp / run_bc construct privately,
-// and 1-core CI boxes never shard on their own — these force the grouped
-// path and observe that it ran, across every engine at once.
+// and 1-core CI boxes never shard on their own — this forces the sharded
+// path across every engine at once.
 std::atomic<std::size_t> g_sweep_chunks{0};
-std::atomic<std::uint64_t> g_grouped_replays{0};
 }  // namespace
 
 void set_global_sweep_chunks_for_test(std::size_t n) {
@@ -22,41 +21,6 @@ void set_global_sweep_chunks_for_test(std::size_t n) {
 
 std::size_t global_sweep_chunks_for_test() {
   return g_sweep_chunks.load(std::memory_order_relaxed);
-}
-
-std::uint64_t global_grouped_replays_for_test() {
-  return g_grouped_replays.load(std::memory_order_relaxed);
-}
-
-namespace detail {
-void note_grouped_replay() {
-  g_grouped_replays.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
-
-thread_local std::size_t SideChannel::tl_rec_ = 0;
-
-void SideChannel::begin_grouped(std::size_t n_records) {
-  n_records_ = n_records;
-  if (n_sums_ > 0) rec_sum_.assign(n_records * n_sums_, 0.0);
-  rec_tag_.assign(n_records, 0);
-  rec_append_.assign(n_records, kInvalidNode);
-  grouped_ = true;
-}
-
-void SideChannel::merge_grouped() {
-  grouped_ = false;
-  for (std::size_t r = 0; r < n_records_; ++r) {
-    const std::uint8_t tag = rec_tag_[r];
-    if (tag != 0) {
-      for (std::size_t k = 0; k < n_sums_; ++k) {
-        if (((tag >> k) & 1) != 0) sums_[k] += rec_sum_[r * n_sums_ + k];
-      }
-      flags_ |= static_cast<std::uint8_t>(tag >> 4);
-    }
-    const NodeId appended = rec_append_[r];
-    if (appended != kInvalidNode) out_->push_back(appended);
-  }
 }
 
 std::size_t Engine::sweep_chunk_count(std::size_t n_blocks) const {

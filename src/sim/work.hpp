@@ -16,9 +16,9 @@
 //
 // Work lists built from a *frontier* (data-driven sweeps) are rebuilt per
 // sweep from the active list. Frontiers produced inside a sweep — SSSP's
-// changed set, BC forward's next wave — come out of the deterministic
-// side-channel append merge (sim::SideChannel, DESIGN.md §7), so the slot
-// list a frontier work list is built from is byte-identical at any thread
+// changed set, BC forward's next wave — are appended by functors that the
+// engine calls in serial warp/lane order (DESIGN.md §7), so the slot list
+// a frontier work list is built from is byte-identical at any thread
 // count or chunking, and so is the resulting WorkItem layout.
 #pragma once
 

@@ -14,8 +14,7 @@
 // instead of a full thread fork/join. The caller always participates as
 // the first worker and tasks are claimed with an atomic counter, so an
 // idle or dead pool can never stall a dispatch. OpenMP remains only in
-// the reduction helpers below (telemetry-only by policy) and in
-// util/prefix_sum.hpp.
+// util/prefix_sum.hpp and the thread-count queries.
 #pragma once
 
 #include <cstddef>
@@ -209,9 +208,8 @@ bool parallel_for_dynamic_any(Index begin, Index end, Body&& body,
 /// segment vector, then concatenates the segments onto `out` in
 /// ascending task order (within a task, in call order). The output
 /// order is thus a pure function of task boundaries and the bodies —
-/// never of thread scheduling. This is the host-side analogue of the
-/// engine SideChannel's per-record append merge (DESIGN.md §7); BFS
-/// frontier generation uses it. Bodies run concurrently for distinct
+/// never of thread scheduling (DESIGN.md §7); BFS frontier generation
+/// uses it. Bodies run concurrently for distinct
 /// tasks and must not touch `out` directly; the single-task / nested /
 /// one-worker case appends straight into `out` in the same order.
 template <typename Index, typename T, typename Body>
@@ -243,53 +241,6 @@ void parallel_append(Index begin, Index end, std::vector<T>& out, Body&& body,
   for (const auto& seg : segments) {
     out.insert(out.end(), seg.begin(), seg.end());
   }
-}
-
-/// Sum-reduction over [begin, end): returns sum of body(i). The
-/// reduction order depends on the team, so only timing/telemetry may
-/// use this (DESIGN.md §7) — never totals that feed outputs.
-template <typename Index, typename Body>
-double parallel_reduce_sum(Index begin, Index end, Body&& body) {
-  const auto n = static_cast<std::int64_t>(end) - static_cast<std::int64_t>(begin);
-  double total = 0.0;
-  // graffix-lint: allow(R3) telemetry-only by policy (DESIGN.md §7): this helper may never feed totals into outputs
-#pragma omp parallel for schedule(static) reduction(+ : total) \
-    num_threads(effective_workers())
-  for (std::int64_t i = 0; i < n; ++i) {
-    total += body(static_cast<Index>(begin + i));
-  }
-  return total;
-}
-
-/// Max-reduction over [begin, end).
-template <typename Index, typename Body>
-auto parallel_reduce_max(Index begin, Index end, Body&& body)
-    -> decltype(body(begin)) {
-  using Value = decltype(body(begin));
-  const auto n = static_cast<std::int64_t>(end) - static_cast<std::int64_t>(begin);
-  Value best{};
-  bool first = true;
-#pragma omp parallel num_threads(effective_workers())
-  {
-    Value local{};
-    bool local_first = true;
-#pragma omp for schedule(static) nowait
-    for (std::int64_t i = 0; i < n; ++i) {
-      Value v = body(static_cast<Index>(begin + i));
-      if (local_first || v > local) {
-        local = v;
-        local_first = false;
-      }
-    }
-#pragma omp critical
-    {
-      if (!local_first && (first || local > best)) {
-        best = local;
-        first = false;
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace graffix

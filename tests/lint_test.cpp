@@ -192,11 +192,11 @@ TEST(LintR3, ContinuationLinesAreJoined) {
 }
 
 TEST(LintR3, SideChannelMergeCannotUseRawFpReduction) {
-  // The ISSUE-8 temptation, spelled out: merging SideChannel per-record
-  // FP partials with an omp reduction would reassociate the sums and
-  // break the byte-identity contract. sim/engine.cpp is NOT on the R1
-  // substrate allowlist, so a raw pragma fires R1 and the FP reduction
-  // fires R3 — the shortcut is caught twice.
+  // The temptation, spelled out: merging per-record FP partials with an
+  // omp reduction would reassociate the sums and break the
+  // byte-identity contract. sim/engine.cpp is NOT on the R1 substrate
+  // allowlist, so a raw pragma fires R1 and the FP reduction fires R3 —
+  // the shortcut is caught twice.
   const auto result = lint::lint_source("src/sim/engine.cpp", R"cpp(
 void merge_grouped_wrong(const double* rec_sum, int n, double* total) {
   double acc = 0.0;
@@ -210,9 +210,8 @@ void merge_grouped_wrong(const double* rec_sum, int n, double* total) {
 }
 
 TEST(LintR3, SideChannelSerialMergeIdiomIsClean) {
-  // The shape the real SideChannel::merge_grouped uses — a serial
-  // ascending-record fold with a tag-byte early-out — carries no
-  // pragmas and needs no suppressions; the engine stays budget-neutral.
+  // The deterministic shape — a serial ascending-record fold with a
+  // tag-byte early-out — carries no pragmas and needs no suppressions.
   const auto result = lint::lint_source("src/sim/engine.cpp", R"cpp(
 void merge_grouped(const double* rec_sum, const unsigned char* rec_tag,
                    int n, double* total) {
@@ -560,9 +559,9 @@ void f(int n) {
 }
 
 TEST(LintR5, PropagatesThroughSameTuCallees) {
-  // The replay_grouped functor path: the member write sits in a helper
-  // the parallel lambda calls, not in the lambda itself. The fixpoint
-  // marks the helper and the write still fires.
+  // The member write sits in a helper the parallel lambda calls, not in
+  // the lambda itself. The fixpoint marks the helper and the write still
+  // fires.
   const auto result = lint::lint_source("src/sim/foo.cpp", R"cpp(
 struct Widget {
   void step(int i) { count_ = i; }

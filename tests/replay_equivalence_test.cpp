@@ -1,27 +1,23 @@
-// Replay-equivalence contract for the grouped Phase B (DESIGN.md §7,
-// "commutative replay contract"): for every certified functor shape the
-// algorithms actually use — min-merge (SSSP relax, BFS levels),
-// sum-merge (PageRank push and pull), ordered absorb (BC backward
-// contributions) — the grouped parallel replay must produce KernelStats
-// and attribute bits IDENTICAL to the serial replay oracle, at every
-// thread count and chunking, including a partial tail warp and a fully
-// gated-out block. An intentionally order-sensitive functor must take
-// the serial fallback (never the grouped path) and still match the
-// fused serial oracle. The engine's reentrancy guard — the latent bug
-// fix that makes any of this legal — is pinned by death tests: nested
-// sweeps on one engine die loudly instead of corrupting scratch.
+// Replay-equivalence contract for the sharded sweep (DESIGN.md §7): for
+// every functor shape the algorithms actually use — min-merge (SSSP
+// relax, BFS levels), sum-merge (PageRank push and pull), ordered absorb
+// (BC backward contributions), and a Gauss-Seidel chain that reads its
+// own commits — the two-phase path (sharded Phase A, serial Phase B)
+// must produce KernelStats and attribute bits IDENTICAL to the fused
+// serial oracle, at every thread count and forced chunking, including a
+// partial tail warp and a fully gated-out block.
 //
-// The side-channel shapes extend the contract to functors with scalar
-// escapes (sim::SideChannel): the runner's certified SSSP relax (stall
-// sums + discovery flag + changed-list appends, exact-threshold tie
-// rejections included) and BC forward (frontier appends, down to the
+// The sweep-aggregate shapes extend the contract to functors that also
+// keep per-sweep totals in plain caller state: the runner's SSSP relax
+// (stall sums + discovery flag + changed-list appends, exact-threshold
+// tie rejections included) and BC forward (frontier appends, down to the
 // empty final wave and a full-frontier sweep) must reproduce every
-// side-channel value and the append ORDER bit-for-bit. Driver-level
-// tests then force the global chunk policy and pin full run_algorithm
-// outputs (attr, stats, sim_seconds, trace) for run_sssp and run_bc
-// against the unforced one-thread baseline while proving — via the
-// process-wide grouped-replay counter — that both drivers actually
-// took the grouped path.
+// aggregate and the append ORDER bit-for-bit. Driver-level tests then
+// force the global chunk policy and pin full run_algorithm outputs
+// (attr, stats, sim_seconds, trace) for run_sssp and run_bc against the
+// unforced one-thread baseline. The engine's reentrancy guard is pinned
+// by death tests: nested sweeps on one engine die loudly instead of
+// corrupting scratch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -45,10 +41,10 @@ namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 constexpr std::size_t kChunkCounts[] = {2, 8};
-// Side-channel matrix (ISSUE 8): single-chunk, mid, and one-chunk-per-
-// block — 4096 exceeds every block count used here, so the policy clamp
-// makes it the "whole" (maximally sharded) configuration.
-constexpr std::size_t kSideChunkCounts[] = {1, 4, 4096};
+// Sweep-aggregate matrix: single-chunk, mid, and one-chunk-per-block —
+// 4096 exceeds every block count used here, so the policy clamp makes it
+// the "whole" (maximally sharded) configuration.
+constexpr std::size_t kWideChunkCounts[] = {1, 4, 4096};
 
 /// Pins the worker pool, runs fn, restores the hardware default.
 template <typename Fn>
@@ -70,12 +66,10 @@ NodeId busiest_node(const Csr& g) {
   return best;
 }
 
-/// Everything one functor-shape run must reproduce bit-for-bit, plus
-/// which replay path the engine actually took.
+/// Everything one functor-shape run must reproduce bit-for-bit.
 struct SweepRun {
   sim::KernelStats stats;
   std::vector<double> attr;
-  std::uint64_t grouped = 0;  // grouped_replays_for_test() at run end
 };
 
 void expect_same_run(const SweepRun& oracle, const SweepRun& got,
@@ -88,40 +82,25 @@ void expect_same_run(const SweepRun& oracle, const SweepRun& got,
       << what << ": attribute bits differ";
 }
 
-/// One functor shape: given (certified?, forced chunk count) runs the
-/// full sweep sequence on a fresh engine and returns the run record.
-/// chunks == 0 leaves the automatic policy (the fused serial path at
-/// one thread on any machine — the reference oracle).
-using ShapeFn = std::function<SweepRun(bool certified, std::size_t chunks)>;
+/// One functor shape: given a forced chunk count, runs the full sweep
+/// sequence on a fresh engine and returns the run record. chunks == 0
+/// leaves the automatic policy (the fused serial path at one thread on
+/// any machine — the reference oracle).
+using ShapeFn = std::function<SweepRun(std::size_t chunks)>;
 
 /// Drives the full differential matrix for one shape: fused serial
-/// oracle vs grouped replay at every (chunks, threads) cell, plus the
-/// uncertified two-phase run that pins the serial-replay fallback
-/// against the same oracle.
+/// oracle vs the two-phase path at every (chunks, threads) cell.
 void run_shape_differential(const ShapeFn& shape, const char* name,
                             std::span<const std::size_t> chunk_list) {
-  const SweepRun oracle =
-      at_threads(1, [&] { return shape(/*certified=*/false, /*chunks=*/0); });
-  EXPECT_EQ(oracle.grouped, 0u) << name << ": oracle must replay serially";
+  const SweepRun oracle = at_threads(1, [&] { return shape(/*chunks=*/0); });
   EXPECT_GT(oracle.stats.atomic_commits, 0u)
       << name << ": vacuous shape proves nothing";
 
   for (std::size_t chunks : chunk_list) {
-    // Serial-replay fallback on the two-phase path: identical too.
-    const SweepRun fallback = at_threads(
-        8, [&] { return shape(/*certified=*/false, chunks); });
-    EXPECT_EQ(fallback.grouped, 0u)
-        << name << ": uncertified functor must never take the grouped path";
-    expect_same_run(oracle, fallback,
-                    std::string(name) + " | serial fallback | chunks=" +
-                        std::to_string(chunks));
     for (int t : kThreadCounts) {
-      const SweepRun got =
-          at_threads(t, [&] { return shape(/*certified=*/true, chunks); });
-      EXPECT_GT(got.grouped, 0u)
-          << name << ": certified functor never reached the grouped replay";
+      const SweepRun got = at_threads(t, [&] { return shape(chunks); });
       expect_same_run(oracle, got,
-                      std::string(name) + " | grouped | chunks=" +
+                      std::string(name) + " | chunks=" +
                           std::to_string(chunks) +
                           " threads=" + std::to_string(t));
     }
@@ -135,7 +114,7 @@ void run_shape_differential(const ShapeFn& shape, const char* name) {
 /// Work list with a genuinely partial tail warp (3 items dropped) and a
 /// gate window [dead_lo, dead_hi) covering one full non-tail warp block
 /// that stays dead for the whole run — the two block shapes where the
-/// grouped record layout could plausibly diverge from the serial walk.
+/// sharded chunk lists could plausibly diverge from the fused walk.
 struct ShapeInputs {
   Csr graph;
   std::vector<sim::WorkItem> all_items;
@@ -167,20 +146,17 @@ bool live_src(const ShapeInputs& in, NodeId u) {
   return u < in.dead_lo || u >= in.dead_hi;
 }
 
-// --- the five certified shapes + the order-sensitive one -------------
+// --- the five merge shapes + the order-sensitive one ------------------
 
 /// SSSP-style Jacobi min-plus: relaxes next[] from a stable dist[]
-/// snapshot — the exact shape the bench engine_sweep cell certifies.
+/// snapshot — the exact shape of the bench engine_sweep cell.
 ShapeFn minplus_shape(const ShapeInputs& in) {
-  return [&in](bool certified, std::size_t chunks) {
+  return [&in](std::size_t chunks) {
     SweepRun r;
     sim::Engine engine(in.graph, sim::SimConfig{});
     const sim::ScopedSweepChunks forced(engine, chunks);
     sim::SweepOptions opts;
     opts.weighted = in.graph.has_weights();
-    if (certified) {
-      opts.functor = {sim::MergeKind::Min, sim::MergeTarget::Dst};
-    }
     std::vector<double> dist(in.graph.num_slots(),
                              std::numeric_limits<double>::infinity());
     dist[in.source] = 0.0;
@@ -201,23 +177,19 @@ ShapeFn minplus_shape(const ShapeInputs& in) {
       dist = next;
     }
     r.attr = std::move(dist);
-    r.grouped = engine.grouped_replays_for_test();
     return r;
   };
 }
 
 /// BFS-style Jacobi level merge: integer min into next_level[].
 ShapeFn bfs_shape(const ShapeInputs& in) {
-  return [&in](bool certified, std::size_t chunks) {
+  return [&in](std::size_t chunks) {
     constexpr std::uint32_t kUnset = 0xffffffffu;
     SweepRun r;
     sim::Engine engine(in.graph, sim::SimConfig{});
     const sim::ScopedSweepChunks forced(engine, chunks);
     sim::SweepOptions opts;
     opts.weighted = false;
-    if (certified) {
-      opts.functor = {sim::MergeKind::Min, sim::MergeTarget::Dst};
-    }
     std::vector<std::uint32_t> level(in.graph.num_slots(), kUnset);
     level[in.source] = 0;
     std::vector<std::uint32_t> next(level);
@@ -237,7 +209,6 @@ ShapeFn bfs_shape(const ShapeInputs& in) {
       level = next;
     }
     r.attr.assign(level.begin(), level.end());
-    r.grouped = engine.grouped_replays_for_test();
     return r;
   };
 }
@@ -246,15 +217,12 @@ ShapeFn bfs_shape(const ShapeInputs& in) {
 /// per-target accumulation ORDER is observable in the bits, so this is
 /// the test that would catch any chunking-dependent absorb order.
 ShapeFn pr_push_shape(const ShapeInputs& in) {
-  return [&in](bool certified, std::size_t chunks) {
+  return [&in](std::size_t chunks) {
     SweepRun r;
     sim::Engine engine(in.graph, sim::SimConfig{});
     const sim::ScopedSweepChunks forced(engine, chunks);
     sim::SweepOptions opts;
     opts.weighted = false;
-    if (certified) {
-      opts.functor = {sim::MergeKind::Sum, sim::MergeTarget::Dst};
-    }
     const std::size_t n = in.graph.num_slots();
     std::vector<double> rank(n, 1.0 / static_cast<double>(n));
     std::vector<double> next(n, 0.15 / static_cast<double>(n));
@@ -271,23 +239,19 @@ ShapeFn pr_push_shape(const ShapeInputs& in) {
       std::fill(next.begin(), next.end(), 0.15 / static_cast<double>(n));
     }
     r.attr = std::move(rank);
-    r.grouped = engine.grouped_replays_for_test();
     return r;
   };
 }
 
 /// PageRank pull: FP sum merged into the SOURCE side (next[u] gathers
-/// from stable rank[v]) — exercises MergeTarget::Src grouping.
+/// from stable rank[v]) — the source-indexed write.
 ShapeFn pr_pull_shape(const ShapeInputs& in) {
-  return [&in](bool certified, std::size_t chunks) {
+  return [&in](std::size_t chunks) {
     SweepRun r;
     sim::Engine engine(in.graph, sim::SimConfig{});
     const sim::ScopedSweepChunks forced(engine, chunks);
     sim::SweepOptions opts;
     opts.weighted = false;
-    if (certified) {
-      opts.functor = {sim::MergeKind::Sum, sim::MergeTarget::Src};
-    }
     const std::size_t n = in.graph.num_slots();
     std::vector<double> rank(n, 1.0 / static_cast<double>(n));
     std::vector<double> next(n, 0.15 / static_cast<double>(n));
@@ -304,7 +268,6 @@ ShapeFn pr_pull_shape(const ShapeInputs& in) {
       std::fill(next.begin(), next.end(), 0.15 / static_cast<double>(n));
     }
     r.attr = std::move(rank);
-    r.grouped = engine.grouped_replays_for_test();
     return r;
   };
 }
@@ -312,15 +275,12 @@ ShapeFn pr_pull_shape(const ShapeInputs& in) {
 /// BC-backward-style ordered absorb: delta[u] accumulates sigma-weighted
 /// contributions read from sweep-stable arrays (sigma, prev).
 ShapeFn bc_absorb_shape(const ShapeInputs& in) {
-  return [&in](bool certified, std::size_t chunks) {
+  return [&in](std::size_t chunks) {
     SweepRun r;
     sim::Engine engine(in.graph, sim::SimConfig{});
     const sim::ScopedSweepChunks forced(engine, chunks);
     sim::SweepOptions opts;
     opts.weighted = false;
-    if (certified) {
-      opts.functor = {sim::MergeKind::Absorb, sim::MergeTarget::Src};
-    }
     const std::size_t n = in.graph.num_slots();
     // Deterministic stand-ins for path counts and child deltas.
     std::vector<double> sigma(n), prev(n);
@@ -338,7 +298,6 @@ ShapeFn bc_absorb_shape(const ShapeInputs& in) {
         },
         r.stats);
     r.attr = std::move(delta);
-    r.grouped = engine.grouped_replays_for_test();
     return r;
   };
 }
@@ -368,42 +327,39 @@ TEST(ReplayEquivalence, BcAbsorbMatchesSerialReplay) {
   run_shape_differential(bc_absorb_shape(in), "bc-absorb");
 }
 
-// --- side-channel shapes (ISSUE 8) -----------------------------------
+// --- sweep-aggregate shapes ------------------------------------------
 
-/// The runner's certified SSSP relax, side channel included: the stall
-/// aggregates (improvement sum 0, base sum 1), the discovery flag, and
-/// the changed list — every value the driver's stall and frontier
-/// decisions read — are folded into attr alongside the stall verdict
-/// evaluated at the exact runner threshold, so the memcmp pins the
-/// decisions themselves, not just the distances. With `weighted ==
-/// false` the unit-step relaxation makes equal-length paths collide at
-/// the exact commit threshold (nd == next[v]); those ties must be
-/// REJECTED identically by the serial and grouped replays, and sum 2
-/// counts them so the tie case is proven to occur, never vacuous.
-ShapeFn sssp_relax_side_shape(const ShapeInputs& in, bool weighted) {
-  return [&in, weighted](bool certified, std::size_t chunks) {
+/// The runner's SSSP relax with its sweep aggregates: the stall sums
+/// (improvement, base), the discovery flag, and the changed list — every
+/// value the driver's stall and frontier decisions read — are folded into
+/// attr alongside the stall verdict evaluated at the exact runner
+/// threshold, so the memcmp pins the decisions themselves, not just the
+/// distances. With `weighted == false` the unit-step relaxation makes
+/// equal-length paths collide at the exact commit threshold
+/// (nd == next[v]); those ties must be REJECTED identically on every
+/// path, and `ties` counts them so the tie case is proven to occur,
+/// never vacuous.
+ShapeFn sssp_relax_shape(const ShapeInputs& in, bool weighted) {
+  return [&in, weighted](std::size_t chunks) {
     const double eps = weighted ? 1e-9 : 0.0;
     SweepRun r;
     sim::Engine engine(in.graph, sim::SimConfig{});
     const sim::ScopedSweepChunks forced(engine, chunks);
     sim::SweepOptions opts;
     opts.weighted = weighted && in.graph.has_weights();
-    if (certified) {
-      opts.functor = {sim::MergeKind::Min, sim::MergeTarget::Dst};
-    }
-    sim::SideChannel side(/*n_sums=*/3);
-    opts.side = &side;
     const std::size_t n = in.graph.num_slots();
     std::vector<double> dist(n, std::numeric_limits<double>::infinity());
     dist[in.source] = 0.0;
     std::vector<double> next(dist);
     std::vector<NodeId> changed;
     AtomicBitset changed_mask(n);
-    side.bind_appends(&changed);
     for (int s = 0; s < 3; ++s) {
+      double improvement = 0.0;
+      double improvement_base = 0.0;
+      double ties = 0.0;
+      bool discovered = false;
       changed.clear();
       changed_mask.clear();
-      side.reset();
       engine.sweep_gated(
           in.items, opts,
           [&](NodeId u) { return live_src(in, u) && std::isfinite(dist[u]); },
@@ -412,59 +368,54 @@ ShapeFn sssp_relax_side_shape(const ShapeInputs& in, bool weighted) {
             const double nd = dist[u] + step;
             if (nd < next[v] - eps * (1.0 + std::abs(nd))) {
               if (std::isfinite(next[v])) {
-                side.add(0, next[v] - nd);
+                improvement += next[v] - nd;
               } else {
-                side.raise(0);
+                discovered = true;
               }
-              side.add(1, 1.0 + std::abs(nd));
+              improvement_base += 1.0 + std::abs(nd);
               next[v] = nd;
-              if (changed_mask.set(v)) side.append(v);
+              if (changed_mask.set(v)) changed.push_back(v);
               return true;
             }
-            if (nd == next[v]) side.add(2, 1.0);  // exact-threshold tie
+            if (nd == next[v]) ties += 1.0;  // exact-threshold tie
             return false;
           },
           r.stats);
-      r.attr.push_back(side.sum(0));
-      r.attr.push_back(side.sum(1));
-      r.attr.push_back(side.flag(0) ? 1.0 : 0.0);
-      r.attr.push_back(side.sum(2));
+      r.attr.push_back(improvement);
+      r.attr.push_back(improvement_base);
+      r.attr.push_back(discovered ? 1.0 : 0.0);
+      r.attr.push_back(ties);
       // The runner's stall verdict, bit for bit: a one-ULP drift in the
       // sums could flip this comparison near the threshold.
-      r.attr.push_back((!side.flag(0) &&
-                        side.sum(0) < 100.0 * eps * std::max(1.0, side.sum(1)))
-                           ? 1.0
-                           : 0.0);
+      r.attr.push_back(
+          (!discovered &&
+           improvement < 100.0 * eps * std::max(1.0, improvement_base))
+              ? 1.0
+              : 0.0);
       r.attr.push_back(static_cast<double>(changed.size()));
       for (NodeId v : changed) r.attr.push_back(static_cast<double>(v));
       dist = next;
     }
     r.attr.insert(r.attr.end(), dist.begin(), dist.end());
-    r.grouped = engine.grouped_replays_for_test();
     return r;
   };
 }
 
-/// The runner's certified BC forward: level-synchronous sigma sums with
-/// the next frontier escaping through side.append. Each wave's frontier
-/// — size AND contents, in discovery order — goes into attr, so the
-/// memcmp pins the exact slot order the next wave's work list is built
-/// from. The matrix covers the empty final wave (the loop's exit
-/// decision) and, after the BFS drains, one full-frontier sweep: every
-/// slot gated in at once (dead window included), the maximal-records /
-/// near-zero-append extreme of the same shape.
-ShapeFn bc_forward_side_shape(const ShapeInputs& in) {
-  return [&in](bool certified, std::size_t chunks) {
+/// The runner's BC forward: level-synchronous sigma sums with the next
+/// frontier appended to a plain list. Each wave's frontier — size AND
+/// contents, in discovery order — goes into attr, so the memcmp pins the
+/// exact slot order the next wave's work list is built from. The matrix
+/// covers the empty final wave (the loop's exit decision) and, after the
+/// BFS drains, one full-frontier sweep: every slot gated in at once
+/// (dead window included), the maximal-work / near-zero-append extreme
+/// of the same shape.
+ShapeFn bc_forward_shape(const ShapeInputs& in) {
+  return [&in](std::size_t chunks) {
     SweepRun r;
     sim::Engine engine(in.graph, sim::SimConfig{});
     const sim::ScopedSweepChunks forced(engine, chunks);
     sim::SweepOptions opts;
     opts.weighted = false;
-    if (certified) {
-      opts.functor = {sim::MergeKind::Sum, sim::MergeTarget::Dst};
-    }
-    sim::SideChannel side;
-    opts.side = &side;
     const std::size_t n = in.graph.num_slots();
     std::vector<NodeId> level(n, kInvalidNode);
     std::vector<double> sigma(n, 0.0);
@@ -472,12 +423,11 @@ ShapeFn bc_forward_side_shape(const ShapeInputs& in) {
     sigma[in.source] = 1.0;
     NodeId depth = 0;
     std::vector<NodeId> frontier;
-    side.bind_appends(&frontier);
     auto forward = [&](NodeId u, NodeId v, Weight) {
       if (level[u] != depth) return false;
       if (level[v] == kInvalidNode) {
         level[v] = depth + 1;
-        side.append(v);
+        frontier.push_back(v);
       }
       if (level[v] == depth + 1) {
         sigma[v] += sigma[u];
@@ -503,27 +453,25 @@ ShapeFn bc_forward_side_shape(const ShapeInputs& in) {
     for (NodeId v : frontier) r.attr.push_back(static_cast<double>(v));
     r.attr.insert(r.attr.end(), sigma.begin(), sigma.end());
     for (NodeId lv : level) r.attr.push_back(static_cast<double>(lv));
-    r.grouped = engine.grouped_replays_for_test();
     return r;
   };
 }
 
-TEST(SideChannelEquivalence, SsspRelaxMatchesSerialReplay) {
+TEST(ReplayEquivalence, SsspRelaxMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(sssp_relax_side_shape(in, /*weighted=*/true),
-                         "sssp-relax-side", kSideChunkCounts);
+  run_shape_differential(sssp_relax_shape(in, /*weighted=*/true),
+                         "sssp-relax", kWideChunkCounts);
 }
 
-TEST(SideChannelEquivalence, SsspRelaxTiesAtThresholdMatchSerialReplay) {
+TEST(ReplayEquivalence, SsspRelaxTiesAtThresholdMatchSerialReplay) {
   const ShapeInputs in = make_inputs();
-  const ShapeFn shape = sssp_relax_side_shape(in, /*weighted=*/false);
+  const ShapeFn shape = sssp_relax_shape(in, /*weighted=*/false);
   // The tie case must actually occur: with unit steps, multiple equal-
   // length parents per target are guaranteed on an rmat graph, and each
-  // rejected exactly-at-threshold candidate bumps sum 2 (attr slot 3 of
+  // rejected exactly-at-threshold candidate bumps `ties` (attr slot 3 of
   // some sweep). Probe the serial oracle for a nonzero total first so
   // the differential below cannot pass vacuously.
-  const SweepRun probe =
-      at_threads(1, [&] { return shape(/*certified=*/false, /*chunks=*/0); });
+  const SweepRun probe = at_threads(1, [&] { return shape(/*chunks=*/0); });
   double ties = 0.0;
   std::size_t at = 0;
   for (int s = 0; s < 3; ++s) {
@@ -531,16 +479,16 @@ TEST(SideChannelEquivalence, SsspRelaxTiesAtThresholdMatchSerialReplay) {
     at += 6 + static_cast<std::size_t>(probe.attr[at + 5]);
   }
   EXPECT_GT(ties, 0.0) << "no exact-threshold tie ever reached the functor";
-  run_shape_differential(shape, "sssp-relax-ties", kSideChunkCounts);
+  run_shape_differential(shape, "sssp-relax-ties", kWideChunkCounts);
 }
 
-TEST(SideChannelEquivalence, BcForwardFrontierMatchesSerialReplay) {
+TEST(ReplayEquivalence, BcForwardFrontierMatchesSerialReplay) {
   const ShapeInputs in = make_inputs();
-  run_shape_differential(bc_forward_side_shape(in), "bc-forward-side",
-                         kSideChunkCounts);
+  run_shape_differential(bc_forward_shape(in), "bc-forward",
+                         kWideChunkCounts);
 }
 
-// --- driver-level grouped-path certification (ISSUE 8) ----------------
+// --- driver-level sharded path ----------------------------------------
 
 bool same_double_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -578,11 +526,8 @@ void expect_same_output(const core::RunOutput& oracle,
 
 /// Runs the real driver (private engine and all) with the process-wide
 /// chunk policy forced, at every thread count, and pins the COMPLETE
-/// RunOutput against the unforced one-thread baseline. The global
-/// grouped-replay counter must advance during each forced run — the
-/// proof that the driver's certified sweeps actually took the grouped
-/// path rather than quietly matching via the serial fallback.
-void run_driver_grouped_differential(core::Algorithm alg,
+/// RunOutput against the unforced one-thread baseline.
+void run_driver_sharded_differential(core::Algorithm alg,
                                      baselines::BaselineId baseline,
                                      const char* name) {
   const Csr g = make_preset(GraphPreset::Rmat26, 11, 13);
@@ -593,14 +538,10 @@ void run_driver_grouped_differential(core::Algorithm alg,
   constexpr std::size_t kDriverChunks[] = {1, 4096};
   for (std::size_t chunks : kDriverChunks) {
     for (int t : kThreadCounts) {
-      const std::uint64_t before = sim::global_grouped_replays_for_test();
       const core::RunOutput got = at_threads(t, [&] {
         const sim::ScopedGlobalSweepChunks forced(chunks);
         return run_driver(alg, baseline, g, source);
       });
-      EXPECT_GT(sim::global_grouped_replays_for_test(), before)
-          << name << ": driver never reached the grouped replay (chunks="
-          << chunks << " threads=" << t << ")";
       expect_same_output(oracle, got,
                          std::string(name) + " | chunks=" +
                              std::to_string(chunks) +
@@ -610,28 +551,27 @@ void run_driver_grouped_differential(core::Algorithm alg,
 }
 
 TEST(DriverGroupedPath, SsspTopologyDrivenBitIdentical) {
-  run_driver_grouped_differential(core::Algorithm::SSSP,
+  run_driver_sharded_differential(core::Algorithm::SSSP,
                                   baselines::BaselineId::TopologyDriven,
                                   "run_sssp/topology");
 }
 
 TEST(DriverGroupedPath, SsspGunrockLikeBitIdentical) {
-  run_driver_grouped_differential(core::Algorithm::SSSP,
+  run_driver_sharded_differential(core::Algorithm::SSSP,
                                   baselines::BaselineId::GunrockLike,
                                   "run_sssp/gunrock");
 }
 
 TEST(DriverGroupedPath, BcTopologyDrivenBitIdentical) {
-  run_driver_grouped_differential(core::Algorithm::BC,
+  run_driver_sharded_differential(core::Algorithm::BC,
                                   baselines::BaselineId::TopologyDriven,
                                   "run_bc/topology");
 }
 
 TEST(ReplayEquivalence, OrderSensitiveFunctorTakesSerialFallback) {
   // Gauss-Seidel relaxation reads the SAME array it merges into, so
-  // cross-target order is observable: it cannot be certified, and an
-  // uncertified functor must replay serially on the two-phase path and
-  // still match the fused serial engine bit for bit.
+  // cross-target order is observable: the two-phase path's serial
+  // Phase B must still match the fused serial engine bit for bit.
   const ShapeInputs in = make_inputs();
   auto run = [&](std::size_t chunks) {
     SweepRun r;
@@ -657,17 +597,13 @@ TEST(ReplayEquivalence, OrderSensitiveFunctorTakesSerialFallback) {
           r.stats);
     }
     r.attr = std::move(dist);
-    r.grouped = engine.grouped_replays_for_test();
     return r;
   };
   const SweepRun oracle = at_threads(1, [&] { return run(0); });
-  EXPECT_EQ(oracle.grouped, 0u);
   EXPECT_GT(oracle.stats.atomic_commits, 0u);
   for (std::size_t chunks : kChunkCounts) {
     for (int t : kThreadCounts) {
       const SweepRun got = at_threads(t, [&] { return run(chunks); });
-      EXPECT_EQ(got.grouped, 0u)
-          << "order-sensitive functor escaped onto the grouped path";
       expect_same_run(oracle, got,
                       "gauss-seidel | chunks=" + std::to_string(chunks) +
                           " threads=" + std::to_string(t));

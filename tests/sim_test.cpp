@@ -519,22 +519,19 @@ class LaneMask : public ::testing::TestWithParam<std::uint32_t> {
     std::uint64_t calls = 0;
   };
 
-  /// One gated sweep through each replay path — fused, two-phase serial,
-  /// and grouped (sound to certify here: `commits` is a pure predicate of
-  /// the edge) — which must agree on every counter and functor call.
+  /// One gated sweep through each path — fused and two-phase — which
+  /// must agree on every counter and functor call.
   template <typename Gate, typename Commits>
   Run sweep_every_path(const Csr& g, Gate gate, Commits commits) {
     SimConfig cfg = test_config();
     cfg.warp_size = GetParam();
     const auto items = items_all_vertices(g);
-    auto run = [&](std::size_t chunks, bool certified) {
+    auto run = [&](std::size_t chunks) {
       Engine engine(g, cfg);
       const ScopedSweepChunks forced(engine, chunks);
-      SweepOptions opts;
-      if (certified) opts.functor = {MergeKind::Min, MergeTarget::Dst};
       Run r;
       engine.sweep_gated(
-          items, opts, gate,
+          items, SweepOptions{}, gate,
           [&](NodeId u, NodeId v, Weight) {
             ++r.calls;
             return commits(u, v);
@@ -542,12 +539,10 @@ class LaneMask : public ::testing::TestWithParam<std::uint32_t> {
           r.stats);
       return r;
     };
-    const Run fused = run(0, false);
-    for (const bool certified : {false, true}) {
-      const Run two_phase = run(1, certified);
-      EXPECT_EQ(two_phase.stats, fused.stats) << "certified=" << certified;
-      EXPECT_EQ(two_phase.calls, fused.calls) << "certified=" << certified;
-    }
+    const Run fused = run(0);
+    const Run two_phase = run(1);
+    EXPECT_EQ(two_phase.stats, fused.stats);
+    EXPECT_EQ(two_phase.calls, fused.calls);
     return fused;
   }
 };

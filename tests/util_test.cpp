@@ -196,22 +196,6 @@ TEST(ParallelFor, EmptyRangeIsNoop) {
   EXPECT_FALSE(called.load());
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
-  constexpr int n = 5000;
-  const double sum = parallel_reduce_sum(0, n, [](int i) { return double(i); });
-  EXPECT_DOUBLE_EQ(sum, n * (n - 1) / 2.0);
-}
-
-TEST(ParallelReduce, MaxFindsMaximum) {
-  std::vector<int> v(1000);
-  Pcg32 rng(3);
-  for (auto& x : v) x = static_cast<int>(rng.next_bounded(1000000));
-  v[531] = 2000000;
-  const int got =
-      parallel_reduce_max(std::size_t{0}, v.size(), [&](std::size_t i) { return v[i]; });
-  EXPECT_EQ(got, 2000000);
-}
-
 TEST(WallTimer, MeasuresElapsedTime) {
   WallTimer timer;
   volatile double sink = 0;

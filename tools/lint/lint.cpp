@@ -203,20 +203,18 @@ const std::vector<std::string>& substrate_entry_points() {
       "parallel_for",        "parallel_for_dynamic",
       "parallel_for_each_dynamic", "parallel_for_dynamic_any",
       "parallel_append",     "parallel_tasks",
-      "pool_dispatch",       "parallel_reduce_sum",
-      "parallel_reduce_max"};
+      "pool_dispatch"};
   return kEntries;
 }
 
 bool sanctioned_channel_type(const std::string& type) {
   return type.find("SweepScratch") != std::string::npos ||
-         type.find("SideChannel") != std::string::npos ||
          type.find("RowClaims") != std::string::npos ||
          type.find("atomic") != std::string::npos;
 }
 
 bool sanctioned_channel_class(const std::string& cls) {
-  return cls == "SweepScratch" || cls == "SideChannel" || cls == "RowClaims";
+  return cls == "SweepScratch" || cls == "RowClaims";
 }
 
 bool lock_type(const std::string& type) {
@@ -582,9 +580,9 @@ void classify_r5_write(const FileModel& m, const ModelIndex& mi,
              (cls.empty() ? std::string("class") : cls) +
              " member mutated from a parallel region is shared across "
              "concurrent tasks (the PR 6 lane-table bug class). Move it "
-             "into per-worker SweepScratch, route it through "
-             "sim::SideChannel / RowClaims / std::atomic, index it by the "
-             "task parameter, or certify with allow(R5)");
+             "into per-worker SweepScratch, route it through RowClaims / "
+             "std::atomic, index it by the task parameter, or certify "
+             "with allow(R5)");
   };
 
   if (lv.base_name == "this") {
@@ -639,7 +637,7 @@ void classify_r5_write(const FileModel& m, const ModelIndex& mi,
                "` — a by-reference capture of state declared outside the "
                "parallel lambda; every worker aliases it. Make it a "
                "per-worker slot indexed by the task parameter, a "
-               "SweepScratch/SideChannel/RowClaims channel, or "
+               "SweepScratch/RowClaims channel, or "
                "std::atomic — or certify with allow(R5)");
       return;
     }

@@ -26,11 +26,11 @@
 //       substrate (parallel_for[_dynamic|_each_dynamic|_dynamic_any],
 //       parallel_tasks, parallel_append, pool_dispatch — plus anything
 //       those lambdas reach through same-TU calls, which covers the
-//       Engine helpers on replay_grouped's functor path), a write to a
+//       Engine helpers Phase A calls from its chunk tasks), a write to a
 //       class member, a by-reference capture, or a global is flagged
 //       unless it goes through a sanctioned channel: per-worker
-//       SweepScratch, sim::SideChannel, RowClaims, std::atomic, a held
-//       lock (scoped_lock/lock_guard/unique_lock in scope), or a slot
+//       SweepScratch, RowClaims, std::atomic, a held lock
+//       (scoped_lock/lock_guard/unique_lock in scope), or a slot
 //       subscripted by the task's own lambda parameter (the disjoint-
 //       slot contract). This is the PR 6 lane_dst_/lane_active_ bug
 //       class, caught before TSan needs a lucky interleaving.

@@ -13,8 +13,8 @@
 //   4. which scopes execute under the parallel substrate: lambdas passed
 //      to the parallel_* / pool_dispatch entry points, plus anything
 //      they reach by calling same-TU functions or lambda variables
-//      (fixpoint propagation — covers Engine helpers like eval_gate on
-//      the replay_grouped functor path).
+//      (fixpoint propagation — covers Engine helpers like eval_gate and
+//      account_block that Phase A's chunk tasks call).
 //
 // Known, accepted limitations (heuristic, per-TU): writes through a
 // local reference bound to shared state are attributed to the local
