@@ -67,16 +67,6 @@ int main(int argc, char** argv) {
     bench::print_preprocessing_scaling_table(
         std::string("Table 5b | ") + section.title + " thread scaling",
         counts, runs);
-    // Per-phase rows (ISSUE 4): the batched greedy phases — latency
-    // scenario-1/2 insertion, replica application — timed on their own.
-    // Divergence has no greedy phase, so its rows would be all zeros.
-    if (section.technique == Technique::Coalescing ||
-        section.technique == Technique::Latency) {
-      bench::print_phase_scaling_table(
-          std::string("Table 5c | ") + section.title +
-              " greedy-phase thread scaling",
-          counts, runs);
-    }
   }
   return deterministic ? 0 : 1;
 }

@@ -385,51 +385,6 @@ void print_preprocessing_scaling_table(
   });
 }
 
-void print_phase_scaling_table(
-    const std::string& title, const std::vector<int>& thread_counts,
-    const std::vector<std::vector<core::PreprocessReport>>& runs) {
-  std::printf("\n%s\n", title.c_str());
-  if (runs.empty() || runs.size() != thread_counts.size()) return;
-  std::vector<std::string> headers{"Graph"};
-  for (int t : thread_counts) {
-    headers.push_back("T=" + std::to_string(t) + " (s)");
-  }
-  headers.push_back("Speedup");
-  metrics::Table table(std::move(headers));
-  const std::size_t n_graphs = runs.front().size();
-  for (std::size_t g = 0; g < n_graphs; ++g) {
-    std::vector<std::string> cells{runs.front()[g].graph};
-    for (const auto& run : runs) {
-      cells.push_back(
-          g < run.size() ? metrics::Table::num(run[g].phase_seconds, 4) : "-");
-    }
-    const double base = runs.front()[g].phase_seconds;
-    const double best =
-        g < runs.back().size() ? runs.back()[g].phase_seconds : 0.0;
-    cells.push_back(best > 0.0 ? metrics::Table::speedup(base / best) : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  json_table(title, "phase_scaling", [&](FILE* f) {
-    std::fprintf(f, "\"threads\":[");
-    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-      std::fprintf(f, "%s%d", i > 0 ? "," : "", thread_counts[i]);
-    }
-    std::fprintf(f, "],\"rows\":[");
-    for (std::size_t g = 0; g < n_graphs; ++g) {
-      std::fprintf(f, "%s{\"graph\":\"%s\",\"phase_seconds\":[",
-                   g > 0 ? "," : "",
-                   json_escape(runs.front()[g].graph).c_str());
-      for (std::size_t i = 0; i < runs.size(); ++i) {
-        std::fprintf(f, "%s%.9g", i > 0 ? "," : "",
-                     g < runs[i].size() ? runs[i][g].phase_seconds : 0.0);
-      }
-      std::fprintf(f, "]}");
-    }
-    std::fprintf(f, "]");
-  });
-}
-
 void print_serve_table(const std::string& title,
                        const std::vector<ServeBenchRow>& rows,
                        std::uint64_t nodes, std::uint64_t edges) {

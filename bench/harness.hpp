@@ -130,13 +130,6 @@ void print_preprocessing_scaling_table(
     const std::string& title, const std::vector<int>& thread_counts,
     const std::vector<std::vector<core::PreprocessReport>>& runs);
 
-/// Same layout, but over the greedy-phase seconds only (the batched
-/// scenario-1/2 insertion and replica-application rows of Table 5) —
-/// the ISSUE-4 per-phase scaling evidence.
-void print_phase_scaling_table(
-    const std::string& title, const std::vector<int>& thread_counts,
-    const std::vector<std::vector<core::PreprocessReport>>& runs);
-
 /// One bench_serve row: a closed-loop client fleet against a resident
 /// `graffix serve` daemon. Latency percentiles are the server's own
 /// admission-to-response numbers (ServerMetrics), so the row captures

@@ -83,20 +83,6 @@ void Pipeline::reset() {
   preprocessing_seconds_ = 0.0;
 }
 
-double Pipeline::greedy_phase_seconds() const {
-  switch (technique_) {
-    case Technique::Coalescing:
-      return coalescing_->greedy_seconds;
-    case Technique::Latency:
-      return latency_->greedy_seconds;
-    case Technique::None:
-    case Technique::Divergence:
-    case Technique::Combined:
-      break;
-  }
-  return 0.0;
-}
-
 const Csr& Pipeline::current() const {
   switch (technique_) {
     case Technique::None:

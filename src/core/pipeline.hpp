@@ -62,10 +62,6 @@ class Pipeline {
   [[nodiscard]] double preprocessing_seconds() const {
     return preprocessing_seconds_;
   }
-  /// Wall-clock seconds of the applied transform's greedy phase — the
-  /// batched scenario-1/2 insertion (latency) or replica application
-  /// (coalescing). Zero for techniques without a greedy phase.
-  [[nodiscard]] double greedy_phase_seconds() const;
   /// Extra space of the transformed graph relative to the original.
   [[nodiscard]] double extra_space_fraction() const;
   /// Arcs inserted by the applied transform (the approximation volume).

@@ -17,10 +17,11 @@ struct CoalescingResult {
   /// Extra space w.r.t. the original graph (Table 5's space column).
   double extra_space_fraction = 0.0;
 
-  /// Wall-clock seconds of the replication greedy phase plus its
-  /// conflict-free round structure (Table 5 per-phase scaling rows).
+  /// Wall-clock seconds of the replication greedy phase.
   double greedy_seconds = 0.0;
-  BatchTelemetry batching;
+  /// Always zero: perfbench's transform.batched_share still reads it, and
+  /// the benchmark change that drops that metric deletes this field.
+  struct { std::uint64_t batched = 0, serial_steps = 0; } batching;
 
   /// Projects a per-slot attribute vector back to original node ids.
   template <typename T>

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <span>
 
 #include "graph/properties.hpp"
 #include "graph/rebuild.hpp"
-#include "transform/batch.hpp"
 #include "transform/validate.hpp"
 #include "util/parallel.hpp"
 #include "util/macros.hpp"
@@ -109,21 +108,59 @@ bool have_common_neighbor(const std::vector<std::vector<Arc>>& und, NodeId a,
   return false;
 }
 
-/// Local clustering coefficient from the undirected adjacency.
-double local_cc(const std::vector<std::vector<Arc>>& und, NodeId n,
-                NodeId degree_cap) {
-  const auto& nbrs = und[n];
-  const auto d = static_cast<NodeId>(std::min<std::size_t>(
-      nbrs.size(), degree_cap));
-  if (d < 2) return 0.0;
-  std::uint64_t links = 0;
-  for (NodeId i = 0; i < d; ++i) {
-    for (NodeId j = i + 1; j < d; ++j) {
-      if (und_has_edge(und, nbrs[i].dst, nbrs[j].dst)) ++links;
-    }
+/// Position of the first arc at or after `from` whose target is not
+/// below x. Gallops (1, 2, 4, ... ahead) before the binary search, so a
+/// walk over ascending targets pays for the gaps, not the row length.
+std::size_t gallop(std::span<const Arc> row, std::size_t from, NodeId x) {
+  std::size_t lo = from, hi = from, step = 1;
+  while (hi < row.size() && row[hi].dst < x) {
+    lo = hi + 1;
+    hi = lo + step;
+    step *= 2;
   }
+  hi = std::min(hi, row.size());
+  return static_cast<std::size_t>(
+      std::lower_bound(row.begin() + lo, row.begin() + hi, x,
+                       [](const Arc& arc, NodeId y) { return arc.dst < y; }) -
+      row.begin());
+}
+
+/// How many of the ascending `targets` appear in `row`: one galloping
+/// walk over the row.
+NodeId count_in_row(std::span<const Arc> row, std::span<const Arc> targets) {
+  NodeId found = 0;
+  std::size_t pos = 0;
+  for (const Arc& t : targets) {
+    pos = gallop(row, pos, t.dst);
+    if (pos == row.size()) break;
+    if (row[pos].dst == t.dst) ++found;
+  }
+  return found;
+}
+
+/// A node's first `cap` sorted neighbors: the neighbor list its local
+/// clustering coefficient is defined over.
+std::span<const Arc> capped(const std::vector<Arc>& row, NodeId cap) {
+  return {row.data(), std::min<std::size_t>(row.size(), cap)};
+}
+
+/// Adjacent pairs among the capped neighbors: each neighbor's row is
+/// walked once for its later siblings.
+NodeId count_links(const std::vector<std::vector<Arc>>& und,
+                   std::span<const Arc> nbrs) {
+  NodeId links = 0;
+  for (std::size_t i = 0; i + 1 < nbrs.size(); ++i) {
+    links += count_in_row(und[nbrs[i].dst], nbrs.subspan(i + 1));
+  }
+  return links;
+}
+
+/// Local clustering coefficient of a node with d capped neighbors of
+/// which `links` pairs are adjacent.
+double local_cc(NodeId links, std::size_t d) {
+  if (d < 2) return 0.0;
   return 2.0 * static_cast<double>(links) /
-         (static_cast<double>(d) * (d - 1));
+         (static_cast<double>(d) * static_cast<double>(d - 1));
 }
 
 }  // namespace
@@ -138,23 +175,29 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
   const NodeId n = graph.num_slots();
   auto und = undirected_adjacency(graph);
 
-  // Initial CCs (computed on the undirected view, as in §3). The O(d^2)
-  // sibling scans dominate preprocessing time (Table 5), so they run in
-  // parallel; each u writes only cc[u], so the result is deterministic.
+  // Initial CCs (computed on the undirected view, as in §3) in parallel;
+  // each u writes only links[u] and cc[u], so the result is
+  // deterministic. The integer link counts are kept for the output CCs.
+  std::vector<NodeId> links(n, 0);
   std::vector<double> cc(n, 0.0);
-  parallel_for_dynamic(NodeId{0}, n,
-                       [&](NodeId u) { cc[u] = local_cc(und, u, kDegreeCap); });
-  {
+  parallel_for_dynamic(NodeId{0}, n, [&](NodeId u) {
+    const auto nbrs = capped(und[u], kDegreeCap);
+    links[u] = count_links(und, nbrs);
+    cc[u] = local_cc(links[u], nbrs.size());
+  });
+  const auto mean_cc = [&] {
     double sum = 0.0;
     for (NodeId u = 0; u < n; ++u) sum += cc[u];
-    result.mean_cc_before = n == 0 ? 0.0 : sum / n;
-  }
+    return n == 0 ? 0.0 : sum / n;
+  };
+  result.mean_cc_before = mean_cc();
 
   const auto budget = static_cast<std::uint64_t>(
       knobs.edge_budget_fraction * static_cast<double>(graph.num_edges()));
 
-  // New directed arcs to splice into the graph.
+  // New directed arcs to splice into the graph, and which nodes gained one.
   std::vector<std::vector<Arc>> extra(n);
+  std::vector<std::uint8_t> endpoint(n, 0);
   std::uint64_t arcs_added = 0;
 
   // Candidate lists sorted by CC (descending) with deterministic ties.
@@ -185,19 +228,16 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
     if (b < a) std::swap(a, b);
     extra[a].push_back({b, w});
     und_insert(und, a, b, w);
+    endpoint[a] = endpoint[b] = 1;
+    ++arcs_added;
   };
 
-  // One scenario-1 anchor, exactly as the serial greedy loop executes
-  // it: lift the near-threshold node over the cutoff by linking sibling
-  // pairs that already share a common neighbor (pass 1, the paper's
-  // "preferentially"), falling back to arbitrary non-adjacent sibling
-  // pairs (pass 2) while the CC deficit is unmet. `arcs_at_entry` is
-  // the global arcs-added count a serial run sees on entry; insertions
-  // stop once the running count reaches the budget. Touches only rows
-  // in the anchor's closed neighborhood, which is what makes the
-  // conflict-free batching below serial-exact (transform/batch.hpp).
-  auto scenario1_anchor = [&](NodeId u,
-                              std::uint64_t arcs_at_entry) -> std::uint64_t {
+  // Scenario 1: lift each near-threshold node over the cutoff by linking
+  // sibling pairs that already share a common neighbor (pass 1, the
+  // paper's "preferentially"), falling back to arbitrary non-adjacent
+  // sibling pairs (pass 2) while the CC deficit is unmet. Insertions stop
+  // once the global count reaches the budget.
+  auto scenario1_anchor = [&](NodeId u) {
     const auto d = static_cast<NodeId>(und[u].size());
     const double pairs = static_cast<double>(d) * (d - 1) / 2.0;
     const auto needed = std::min<std::uint64_t>(
@@ -212,7 +252,7 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
     for (int pass = 0; pass < 2 && added_here < needed; ++pass) {
       for (NodeId i = 0; i < d && added_here < needed; ++i) {
         for (NodeId j = i + 1; j < d && added_here < needed; ++j) {
-          if (arcs_at_entry + added_here >= budget) break;
+          if (arcs_added >= budget) return;
           const NodeId a = siblings[i], b = siblings[j];
           if (und_has_edge(und, a, b)) continue;
           if (pass == 0 && !have_common_neighbor(und, a, b, u)) continue;
@@ -221,27 +261,18 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
         }
       }
     }
-    if (added_here > 0) cc[u] = local_cc(und, u, kDegreeCap);
-    return added_here;
   };
 
-  // One scenario-2 anchor: densify the cluster around an already-high-CC
-  // node by linking its least-connected sibling pair (one insertion per
-  // anchor keeps the approximation small; the budget is the hard stop,
-  // enforced by the caller's top-of-loop check / batch admission).
-  auto scenario2_anchor = [&](NodeId u) -> std::uint64_t {
-    std::vector<NodeId> siblings;
-    siblings.reserve(und[u].size());
-    for (const Arc& a : und[u]) siblings.push_back(a.dst);
+  // Scenario 2: densify the cluster around an already-high-CC node by
+  // linking its least-connected sibling pair (one insertion per anchor
+  // keeps the approximation small; the budget is the hard stop).
+  auto scenario2_anchor = [&](NodeId u) {
     // Connectivity of each sibling to the other siblings.
+    const std::span<const Arc> siblings(und[u]);
     std::vector<std::pair<NodeId, NodeId>> conn;  // (links, sibling)
     conn.reserve(siblings.size());
-    for (NodeId s : siblings) {
-      NodeId links = 0;
-      for (NodeId t : siblings) {
-        if (t != s && und_has_edge(und, s, t)) ++links;
-      }
-      conn.emplace_back(links, s);
+    for (const Arc& s : siblings) {
+      conn.emplace_back(count_in_row(und[s.dst], siblings), s.dst);
     }
     // graffix-lint: allow(R4) default less over (links, sibling-id) pairs is a total order: sibling ids are unique
     std::sort(conn.begin(), conn.end());
@@ -250,66 +281,20 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
         const NodeId a = conn[i].second, b = conn[j].second;
         if (und_has_edge(und, a, b)) continue;
         insert_pair(a, b, und_weight(und, u, a) + und_weight(und, u, b));
-        return 1;
+        return;
       }
     }
-    return 0;
   };
 
   {
     WallTimer greedy_timer;
-    if (serial_transforms()) {
-      // Serial reference oracle (GRAFFIX_SERIAL_TRANSFORMS): the
-      // original strictly-ordered greedy loops.
-      for (NodeId u : near_nodes) {
-        if (arcs_added >= budget) break;
-        arcs_added += scenario1_anchor(u, arcs_added);
-      }
-      for (NodeId u : high_nodes) {
-        if (arcs_added >= budget) break;
-        arcs_added += scenario2_anchor(u);
-      }
-    } else {
-      // Conflict-free batched rounds, byte-identical to the oracle: an
-      // anchor's reads and writes stay inside its closed neighborhood,
-      // so that neighborhood is its row footprint.
-      RowClaims claims(n);
-      auto footprint = [&](const std::vector<NodeId>& list, std::uint32_t i,
-                           std::vector<NodeId>& rows) {
-        const NodeId u = list[i];
-        rows.push_back(u);
-        for (const Arc& a : und[u]) rows.push_back(a.dst);
-      };
-      const BatchTelemetry s1 = run_budgeted_rounds(
-          near_nodes.size(), claims, budget, arcs_added,
-          [&](std::uint32_t i, std::vector<NodeId>& rows) {
-            footprint(near_nodes, i, rows);
-          },
-          [&](std::uint32_t) {
-            return std::uint64_t{knobs.max_edges_per_anchor};
-          },
-          [&](std::uint32_t i) {
-            // Admission proved the budget cannot bind for any batch
-            // member, so the shared round-entry counter is exact.
-            return scenario1_anchor(near_nodes[i], arcs_added);
-          },
-          [&](std::uint32_t i, std::uint64_t serial_before) {
-            return scenario1_anchor(near_nodes[i], serial_before);
-          });
-      const BatchTelemetry s2 = run_budgeted_rounds(
-          high_nodes.size(), claims, budget, arcs_added,
-          [&](std::uint32_t i, std::vector<NodeId>& rows) {
-            footprint(high_nodes, i, rows);
-          },
-          [&](std::uint32_t) { return std::uint64_t{1}; },
-          [&](std::uint32_t i) { return scenario2_anchor(high_nodes[i]); },
-          [&](std::uint32_t i, std::uint64_t) {
-            return scenario2_anchor(high_nodes[i]);
-          });
-      result.batching.rounds = s1.rounds + s2.rounds;
-      result.batching.batched = s1.batched + s2.batched;
-      result.batching.serial_steps = s1.serial_steps + s2.serial_steps;
-      result.batching.max_batch = std::max(s1.max_batch, s2.max_batch);
+    for (NodeId u : near_nodes) {
+      if (arcs_added >= budget) break;
+      scenario1_anchor(u);
+    }
+    for (NodeId u : high_nodes) {
+      if (arcs_added >= budget) break;
+      scenario2_anchor(u);
     }
     result.greedy_seconds = greedy_timer.seconds();
   }
@@ -318,14 +303,27 @@ LatencyResult latency_transform(const Csr& graph, const LatencyKnobs& knobs) {
   // Rebuild the Csr with the extra arcs appended (shared parallel path).
   result.graph = rebuild_with_extras(graph, extra);
 
-  {
-    parallel_for_dynamic(NodeId{0}, n, [&](NodeId u) {
-      cc[u] = local_cc(und, u, kDegreeCap);
-    });
-    double sum = 0.0;
-    for (NodeId u = 0; u < n; ++u) sum += cc[u];
-    result.mean_cc_after = n == 0 ? 0.0 : sum / n;
-  }
+  // Output CCs. A node that gained no arc keeps its capped neighbor list,
+  // so it gains exactly one link per inserted pair inside that list;
+  // endpoints are recounted. Link counts are integers, so every CC is
+  // the same double a full recount gives.
+  parallel_for_dynamic(NodeId{0}, n, [&](NodeId u) {
+    const auto nbrs = capped(und[u], kDegreeCap);
+    if (endpoint[u]) {
+      links[u] = count_links(und, nbrs);
+    } else {
+      // Each inserted pair is listed once, under its lower endpoint.
+      for (const Arc& a : nbrs) {
+        for (const Arc& b : extra[a.dst]) {
+          if (std::ranges::binary_search(nbrs, b.dst, {}, &Arc::dst)) {
+            ++links[u];
+          }
+        }
+      }
+    }
+    cc[u] = local_cc(links[u], nbrs.size());
+  });
+  result.mean_cc_after = mean_cc();
 
   // Cluster selection on the boosted graph: among nodes clearing the CC
   // threshold, anchor the highest-degree ones first — they pull the most

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "transform/batch.hpp"
 #include "transform/knobs.hpp"
 
 namespace graffix::transform {
@@ -48,11 +47,11 @@ struct LatencyResult {
   double mean_cc_before = 0.0;
   double mean_cc_after = 0.0;
   /// Wall-clock seconds spent in the scenario-1/2 greedy insertion
-  /// phases (the Table 5 per-phase scaling rows).
+  /// phases.
   double greedy_seconds = 0.0;
-  /// Conflict-free round structure of the greedy phases (all-batched
-  /// zeros when the serial reference oracle is forced).
-  BatchTelemetry batching;
+  /// Always zero: perfbench's transform.batched_share still reads it, and
+  /// the benchmark change that drops that metric deletes this field.
+  struct { std::uint64_t batched = 0, serial_steps = 0; } batching;
 };
 
 /// Runs the latency transform. With an edge budget of 0 no edges are

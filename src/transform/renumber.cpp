@@ -89,40 +89,49 @@ RenumberResult renumber_bfs_forest(const Csr& graph, std::uint32_t k) {
 
   NodeId gid = 0;
   result.level_start.push_back(0);
-  for (NodeId v : by_level[0]) result.slot_of_node[v] = gid++;
+  // Members of the current level in slot order: the round-robin visits
+  // the j-th neighbor of each parent in the order the parents were placed.
+  std::vector<NodeId> parents = by_level[0];
+  for (NodeId v : parents) result.slot_of_node[v] = gid++;
 
+  std::vector<NodeId> live, placed;
   for (NodeId i = 0; i + 1 < num_levels; ++i) {
     gid = align_up(gid);
     result.level_start.push_back(gid);
+    placed.clear();
+    auto place = [&](NodeId v) {
+      result.slot_of_node[v] = gid++;
+      placed.push_back(v);
+    };
 
-    // Members of level i in slot order — the round-robin visits the j-th
-    // neighbor of each parent in the order the parents will be processed.
-    std::vector<NodeId> parents = by_level[i];
-    // graffix-lint: allow(R4) comparator is a total order: slot_of_node is injective over the already-placed parents
-    std::sort(parents.begin(), parents.end(), [&](NodeId a, NodeId b) {
-      return result.slot_of_node[a] < result.slot_of_node[b];
-    });
-    NodeId max_degree = 0;
-    for (NodeId p : parents) max_degree = std::max(max_degree, graph.degree(p));
-
-    for (NodeId j = 0; j < max_degree; ++j) {
-      for (NodeId p : parents) {
-        if (graph.degree(p) <= j) continue;
-        const NodeId child = graph.neighbors(p)[j];
+    // Round j visits only the parents that still have a j-th neighbor,
+    // kept in slot order, so the (j, parent) pairs come in the same
+    // order as a sweep of every parent for every j < max degree, at a
+    // cost of the level's degree sum.
+    live.clear();
+    for (NodeId p : parents) {
+      if (graph.degree(p) > 0) live.push_back(p);
+    }
+    for (NodeId j = 0; !live.empty(); ++j) {
+      std::size_t kept = 0;
+      for (NodeId p : live) {
+        const auto nbrs = graph.neighbors(p);
+        const NodeId child = nbrs[j];
         if (level[child] == i + 1 &&
             result.slot_of_node[child] == kInvalidNode) {
-          result.slot_of_node[child] = gid++;
+          place(child);
         }
+        if (nbrs.size() > j + 1) live[kept++] = p;
       }
+      live.resize(kept);
     }
     // Defensive: number any level-(i+1) nodes not reached through a
     // parent's adjacency position (cannot happen at level fixpoint, but
     // keeps the bijection total).
     for (NodeId v : by_level[i + 1]) {
-      if (result.slot_of_node[v] == kInvalidNode) {
-        result.slot_of_node[v] = gid++;
-      }
+      if (result.slot_of_node[v] == kInvalidNode) place(v);
     }
+    parents.swap(placed);
   }
 
   result.num_slots = align_up(gid);

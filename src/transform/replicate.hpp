@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "transform/batch.hpp"
 #include "transform/confluence.hpp"
 #include "transform/knobs.hpp"
 #include "transform/renumber.hpp"
@@ -33,12 +32,8 @@ struct ReplicationResult {
   std::uint64_t edges_added = 0;  // new 2-hop edges (the approximation)
   NodeId holes_total = 0;
   NodeId holes_filled = 0;
-  /// Wall-clock seconds spent in the greedy candidate-application phase
-  /// (the Table 5 per-phase scaling rows).
+  /// Wall-clock seconds spent in the greedy candidate-application phase.
   double greedy_seconds = 0.0;
-  /// Conflict-free round structure of the apply phase (all-batched
-  /// zeros when the serial reference oracle is forced).
-  BatchTelemetry batching;
 };
 
 /// Applies replication to a renumbered, hole-aware graph.

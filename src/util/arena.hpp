@@ -1,9 +1,9 @@
 // Pooled scratch allocation and process-memory telemetry.
 //
 // Paper-scale rebuilds and sweeps are allocation-churn-bound as much as
-// compute-bound: every CSR rebuild, transpose, and batched greedy phase
-// used to allocate multi-hundred-megabyte scratch, free it, and allocate
-// it again on the next call, so the allocator's high-water mark — not the
+// compute-bound: every CSR rebuild, transpose, and engine sweep used to
+// allocate multi-hundred-megabyte scratch, free it, and allocate it
+// again on the next call, so the allocator's high-water mark — not the
 // live data — set the process footprint, and page faults on the refill
 // dominated small runs. ScratchArena keeps those buffers alive between
 // uses: released blocks park on per-size-class free lists and the next
@@ -148,8 +148,8 @@ class ArenaBuffer {
 /// std allocator adapter over the global pool: vector growth doubles, the
 /// pool's power-of-two size classes cache exactly those blocks, so a
 /// vector that is destroyed and rebuilt every call (rebuild scratch,
-/// batch round lists, engine replay tables) stops round-tripping through
-/// the system allocator.
+/// engine sweep tables) stops round-tripping through the system
+/// allocator.
 template <typename T>
 class ArenaAllocator {
  public:

@@ -157,12 +157,11 @@ void parallel_for_dynamic(Index begin, Index end, Body&& body,
   });
 }
 
-/// Applies body(item) to every element of an index/work list with
+/// Applies body(item, index) to every element of a work list with
 /// dynamic scheduling at the given grain. Thin sugar over
-/// parallel_for_dynamic for the batched greedy phases, whose rounds are
-/// sets of candidate positions with wildly uneven per-candidate work
-/// (grain 1 is the right default there — a batch member can be a hub
-/// anchor doing an O(d^2) sibling scan while its neighbor is a no-op).
+/// parallel_for_dynamic for lists whose items cost wildly different
+/// amounts (grain 1 is the right default there — serve's query units
+/// range from one lane on a small frontier to a full batch on a hub).
 template <typename List, typename Body>
 void parallel_for_each_dynamic(const List& items, Body&& body,
                                std::int64_t grain = 1) {

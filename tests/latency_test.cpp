@@ -5,15 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "gen/rmat.hpp"
 #include "gen/road_grid.hpp"
+#include "gen/suite.hpp"
 #include "graph/builder.hpp"
 #include "graph/validate.hpp"
 #include "transform/latency.hpp"
+#include "transform_digest.hpp"
 
 namespace graffix::transform {
 namespace {
+
+using testing::digest_csr;
+using testing::double_bits;
+using testing::fnv;
 
 Csr clustered_graph() {
   // Two triangles joined by a path: high-CC anchors exist.
@@ -259,6 +266,69 @@ TEST(Latency, RoadGridFormsClustersAfterBoost) {
   const auto result = latency_transform(g, k);
   EXPECT_TRUE(validate_graph(result.graph).ok);
   EXPECT_FALSE(result.schedule.empty());
+}
+
+TEST(Latency, GoldenSuiteDigestsAtThreeKnobSets) {
+  // Recorded from the conflict-free batched greedy rounds, which matched
+  // the serial greedy byte for byte on this suite at 1, 2 and 8 threads:
+  // every Table 1 preset at scale 10 x three knob sets. "aggressive"
+  // widens the near window and the budget; "tight" leaves a budget
+  // small enough to stop scenario 1 midway on the dense presets. The
+  // digest folds the graph bits, edges_added, the cluster schedule and
+  // the bits of both mean CCs.
+  LatencyKnobs aggressive;
+  aggressive.cc_threshold = 0.4;
+  aggressive.near_delta = 0.3;
+  aggressive.edge_budget_fraction = 0.1;
+  LatencyKnobs tight = aggressive;
+  tight.edge_budget_fraction = 0.002;
+  const LatencyKnobs knob_sets[] = {LatencyKnobs{}, aggressive, tight};
+  const char* const knob_names[] = {"default", "aggressive", "tight"};
+  struct Golden {
+    GraphPreset preset;
+    int knob_set;
+    std::uint64_t edges_added;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {GraphPreset::Rmat26, 0, 239, 0xe547cfb96dd24efbull},
+      {GraphPreset::Rmat26, 1, 1501, 0xd0f5b96403e49737ull},
+      {GraphPreset::Rmat26, 2, 32, 0xb69bfb377acc5ab4ull},
+      {GraphPreset::Random26, 0, 0, 0xbe00cff04493983bull},
+      {GraphPreset::Random26, 1, 0, 0xbe00cff04493983bull},
+      {GraphPreset::Random26, 2, 0, 0xbe00cff04493983bull},
+      {GraphPreset::LiveJournal, 0, 27, 0xbc2551e27177f597ull},
+      {GraphPreset::LiveJournal, 1, 1429, 0xa36f591827474886ull},
+      {GraphPreset::LiveJournal, 2, 28, 0xd3473d2e47227319ull},
+      {GraphPreset::UsaRoad, 0, 0, 0x55b0812d486986dbull},
+      {GraphPreset::UsaRoad, 1, 394, 0x829d63ef0840eeb2ull},
+      {GraphPreset::UsaRoad, 2, 7, 0x934052dc3a16bf0bull},
+      {GraphPreset::Twitter, 0, 748, 0x033967d6672f25d8ull},
+      {GraphPreset::Twitter, 1, 585, 0x1e713ca1d6c16b05ull},
+      {GraphPreset::Twitter, 2, 64, 0x790c9433d40e1154ull},
+  };
+  const std::vector<SuiteEntry> suite = make_suite(10, 7);
+  for (const Golden& gold : goldens) {
+    const SuiteEntry& entry = suite[static_cast<std::size_t>(gold.preset)];
+    ASSERT_EQ(entry.preset, gold.preset);
+    const LatencyResult result =
+        latency_transform(entry.graph, knob_sets[gold.knob_set]);
+    std::uint64_t h = digest_csr(result.graph);
+    h = fnv(h, result.edges_added);
+    for (NodeId r : result.schedule.resident) h = fnv(h, r);
+    h = fnv(h, result.schedule.clusters.size());
+    for (const Cluster& cluster : result.schedule.clusters) {
+      h = fnv(h, cluster.members.size());
+      for (NodeId m : cluster.members) h = fnv(h, m);
+      h = fnv(h, cluster.inner_iterations);
+    }
+    h = fnv(h, double_bits(result.mean_cc_before));
+    h = fnv(h, double_bits(result.mean_cc_after));
+    const std::string what =
+        std::string(entry.name) + " " + knob_names[gold.knob_set];
+    EXPECT_EQ(result.edges_added, gold.edges_added) << what;
+    EXPECT_EQ(h, gold.digest) << what << " digest 0x" << std::hex << h;
+  }
 }
 
 }  // namespace

@@ -575,6 +575,26 @@ struct Widget {
   EXPECT_EQ(result.diagnostics[0].line, 3);
 }
 
+TEST(LintR5, PropagatesIntoCalleeWithBracedDefaultArgument) {
+  // A braced default argument in the parameter list (`Options opts = {}`)
+  // must not hide the function scope: the fixpoint still follows the
+  // call into step() and the member write fires.
+  const auto result = lint::lint_source("src/sim/foo.cpp", R"cpp(
+struct Widget {
+  void step(int i, Options opts = {}) {
+    count_ = i;
+  }
+  void run(int n) {
+    parallel_for(0, n, [&](int i) { step(i); });
+  }
+  int count_ = 0;
+};
+)cpp");
+  EXPECT_EQ(count_rule(result, "R5"), 1u);
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_EQ(result.diagnostics[0].line, 4);
+}
+
 TEST(LintR5, AllowAnnotationSuppressesWithReason) {
   const auto result = lint::lint_source("src/sim/engine.hpp", R"cpp(
 class Engine {

@@ -9,12 +9,16 @@
 #include "algorithms/sssp.hpp"
 #include "gen/rmat.hpp"
 #include "gen/road_grid.hpp"
+#include "gen/suite.hpp"
 #include "graph/builder.hpp"
 #include "graph/validate.hpp"
 #include "transform/renumber.hpp"
+#include "transform_digest.hpp"
 
 namespace graffix::transform {
 namespace {
+
+using testing::fnv;
 
 /// A 20-node graph consistent with the paper's Figure 1/2 walkthrough:
 /// BFS from 0 visits {0,4,5,6,7,8,13,14,15,17}; BFS from 1 covers
@@ -207,6 +211,38 @@ TEST(Renumber, SingleNodeGraph) {
   EXPECT_EQ(r.num_slots, 16u);
   EXPECT_EQ(r.slot_of_node[0], 0u);
   EXPECT_EQ(r.hole_count(), 15u);
+}
+
+TEST(Renumber, GoldenNumberingOnManyRootGraphs) {
+  // Level 0 of these graphs holds about a thousand roots, so the level-1
+  // round-robin interleaves about a thousand parents of very unequal
+  // degree. Digests of slot_of_node and level_start, recorded from the
+  // loop that visited every (j < max degree, parent) pair of a level.
+  struct Golden {
+    GraphPreset preset;
+    NodeId roots;
+    NodeId num_slots;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {GraphPreset::Rmat26, 1144, 4144, 0x1a96248df7dff0a6ull},
+      {GraphPreset::Twitter, 864, 4128, 0x38a51f57ef83338cull},
+  };
+  for (const Golden& gold : goldens) {
+    const Csr g = make_preset(gold.preset, 12, 7);
+    const RenumberResult r = renumber_bfs_forest(g, 16);
+    std::uint64_t h = 1469598103934665603ull;
+    for (NodeId s : r.slot_of_node) h = fnv(h, s);
+    for (NodeId s : r.level_start) h = fnv(h, s);
+    NodeId roots = 0;
+    for (NodeId s = 0; s < r.num_slots; ++s) {
+      if (r.level_of_slot[s] == 0 && !r.is_hole_slot(s)) ++roots;
+    }
+    EXPECT_EQ(roots, gold.roots) << preset_name(gold.preset);
+    EXPECT_EQ(r.num_slots, gold.num_slots) << preset_name(gold.preset);
+    EXPECT_EQ(h, gold.digest)
+        << preset_name(gold.preset) << " digest 0x" << std::hex << h;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <set>
 
 #include "algorithms/pagerank.hpp"
@@ -17,9 +16,13 @@
 #include "graph/validate.hpp"
 #include "transform/coalescing.hpp"
 #include "transform/validate.hpp"
+#include "transform_digest.hpp"
 
 namespace graffix::transform {
 namespace {
+
+using testing::digest_csr;
+using testing::fnv;
 
 Csr small_rmat(std::uint32_t scale = 9, std::uint32_t ef = 8) {
   RmatParams p;
@@ -232,30 +235,6 @@ TEST(Replicate, RoadNetworkUsesLowerThreshold) {
 // lists, precomputed parent-chunk hints, reserve/apply batching) are
 // provably behavior-preserving, not merely plausible.
 
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 1099511628211ull;
-}
-
-std::uint64_t digest_csr(const Csr& g) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv(h, g.num_slots());
-  h = fnv(h, g.num_edges());
-  for (auto o : g.offsets()) h = fnv(h, o);
-  for (auto t : g.targets()) h = fnv(h, t);
-  if (g.has_weights()) {
-    for (auto w : g.weights()) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &w, sizeof(bits));
-      h = fnv(h, bits);
-    }
-  }
-  if (g.has_holes()) {
-    for (auto x : g.holes()) h = fnv(h, x);
-  }
-  return h;
-}
-
 TEST(Replicate, GoldenOutputUnchangedFromSerialBaseline) {
   struct Golden {
     GraphPreset preset;
@@ -286,6 +265,65 @@ TEST(Replicate, GoldenOutputUnchangedFromSerialBaseline) {
     for (NodeId s : result.replicas.group_of_slot) h = fnv(h, s);
     EXPECT_EQ(h, gold.digest) << preset_name(gold.preset);
   }
+}
+
+TEST(Replicate, GoldenSuiteDigestsAtThreeThresholds) {
+  // Recorded from the conflict-free batched apply rounds, which matched
+  // the serial loop byte for byte on this suite at 1, 2 and 8 threads:
+  // every Table 1 preset at scale 10 x the thresholds 0.6, 0.4 and 0.3.
+  // The digest folds the graph bits, the replica groups and every
+  // counter.
+  struct Golden {
+    GraphPreset preset;
+    double threshold;
+    NodeId holes_filled;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {GraphPreset::Rmat26, 0.6, 15, 0x5c776d89cc0f079full},
+      {GraphPreset::Rmat26, 0.4, 16, 0x28fefcec06eb2a6eull},
+      {GraphPreset::Rmat26, 0.3, 26, 0x2927fb98b8226e1dull},
+      {GraphPreset::Random26, 0.6, 4, 0xedba3fa34f5bbcc0ull},
+      {GraphPreset::Random26, 0.4, 4, 0xedba3fa34f5bbcc0ull},
+      {GraphPreset::Random26, 0.3, 4, 0xedba3fa34f5bbcc0ull},
+      {GraphPreset::LiveJournal, 0.6, 8, 0xad3c620777b711e3ull},
+      {GraphPreset::LiveJournal, 0.4, 21, 0xa941f17f4969ebc2ull},
+      {GraphPreset::LiveJournal, 0.3, 21, 0xa941f17f4969ebc2ull},
+      {GraphPreset::UsaRoad, 0.6, 4, 0x125b257430f460ecull},
+      {GraphPreset::UsaRoad, 0.4, 32, 0x47b148419df96e25ull},
+      {GraphPreset::UsaRoad, 0.3, 52, 0x437ab629436a1d69ull},
+      {GraphPreset::Twitter, 0.6, 8, 0xea1a64b9c1d92a47ull},
+      {GraphPreset::Twitter, 0.4, 14, 0x209c61a9054da355ull},
+      {GraphPreset::Twitter, 0.3, 20, 0x68af419e385c9c5aull},
+  };
+  const std::vector<SuiteEntry> suite = make_suite(10, 7);
+  std::uint64_t filled = 0;
+  for (const Golden& gold : goldens) {
+    const SuiteEntry& entry = suite[static_cast<std::size_t>(gold.preset)];
+    ASSERT_EQ(entry.preset, gold.preset);
+    const Csr& g = entry.graph;
+    const RenumberResult renumber = renumber_bfs_forest(g, 16);
+    const Csr renumbered = apply_renumbering(g, renumber);
+    CoalescingKnobs knobs;
+    knobs.connectedness_threshold = gold.threshold;
+    const auto result = replicate_into_holes(renumbered, renumber, knobs);
+    std::uint64_t h = digest_csr(result.graph);
+    h = fnv(h, result.edges_moved);
+    h = fnv(h, result.edges_added);
+    h = fnv(h, result.holes_total);
+    h = fnv(h, result.holes_filled);
+    for (const auto& group : result.replicas.groups) {
+      h = fnv(h, group.size());
+      for (NodeId s : group) h = fnv(h, s);
+    }
+    for (NodeId s : result.replicas.group_of_slot) h = fnv(h, s);
+    const std::string what = std::string(preset_name(gold.preset)) +
+                             " threshold " + std::to_string(gold.threshold);
+    EXPECT_EQ(result.holes_filled, gold.holes_filled) << what;
+    EXPECT_EQ(h, gold.digest) << what << " digest 0x" << std::hex << h;
+    filled += result.holes_filled;
+  }
+  EXPECT_GT(filled, 0u);  // replication must have engaged somewhere
 }
 
 TEST(Replicate, ExtraSpaceFractionIsReported) {

@@ -1,9 +1,9 @@
 // Property tests for the greedy transform phases under randomized knobs
-// (fixed seeds): invariants that must hold for ANY knob setting, batched
-// or serial —
+// (fixed seeds): invariants that must hold for ANY knob setting —
 //   latency: the edge budget is a hard cap, hole masks survive, every
 //     inserted arc is a 2-hop shortcut whose weight is exactly the sum
-//     of its two hops through a common neighbor;
+//     of its two hops through a common neighbor, and both reported mean
+//     CCs equal a from-scratch recount of the input and output graphs;
 //   replication: groups and group_of_slot agree, primaries lead their
 //     groups, replicas occupy former holes only, the per-node copy cap
 //     holds, and holes_filled counts exactly the replicas.
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gen/suite.hpp"
@@ -171,6 +172,59 @@ TEST(TransformProperty, LatencyPreservesHolesOfRenumberedInput) {
   knobs.near_delta = 0.3;
   knobs.edge_budget_fraction = 0.1;
   check_latency_invariants(renumbered, knobs, "renumbered-with-holes");
+}
+
+/// Mean local clustering coefficient by definition, as the transform
+/// reports it: on the undirected view, over each node's first 64 sorted
+/// neighbors, one lookup per neighbor pair, summed in slot order.
+double recount_mean_cc(const Csr& g) {
+  constexpr std::size_t kDegreeCap = 64;
+  const UndView und(g);
+  const NodeId n = g.num_slots();
+  double sum = 0.0;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto& row = und.rows[u];
+    const auto d = static_cast<NodeId>(std::min(row.size(), kDegreeCap));
+    double cc = 0.0;
+    if (d >= 2) {
+      std::uint64_t links = 0;
+      Weight unused;
+      for (NodeId i = 0; i < d; ++i) {
+        for (NodeId j = i + 1; j < d; ++j) {
+          if (und.weight_of(row[i].first, row[j].first, unused)) ++links;
+        }
+      }
+      cc = 2.0 * static_cast<double>(links) /
+           (static_cast<double>(d) * (d - 1));
+    }
+    sum += cc;
+  }
+  return n == 0 ? 0.0 : sum / n;
+}
+
+TEST(TransformProperty, LatencyMeanCcsEqualFullRecount) {
+  // The transform derives the output CCs incrementally from the input's
+  // link counts; a full recount must give the same doubles, bit for bit.
+  LatencyKnobs aggressive;
+  aggressive.cc_threshold = 0.4;
+  aggressive.near_delta = 0.3;
+  aggressive.edge_budget_fraction = 0.1;
+  LatencyKnobs tight = aggressive;
+  tight.edge_budget_fraction = 0.002;
+  std::uint64_t total_added = 0;
+  for (const SuiteEntry& entry : make_suite(10, 11)) {
+    for (const LatencyKnobs& knobs : {LatencyKnobs{}, aggressive, tight}) {
+      const LatencyResult result = latency_transform(entry.graph, knobs);
+      const std::string what = entry.name + " threshold " +
+                               std::to_string(knobs.cc_threshold) +
+                               " budget " +
+                               std::to_string(knobs.edge_budget_fraction);
+      EXPECT_EQ(result.mean_cc_before, recount_mean_cc(entry.graph)) << what;
+      EXPECT_EQ(result.mean_cc_after, recount_mean_cc(result.graph)) << what;
+      total_added += result.edges_added;
+    }
+  }
+  EXPECT_GT(total_added, 0u);  // the output CCs must differ somewhere
 }
 
 // --- replication -----------------------------------------------------

@@ -209,12 +209,11 @@ const std::vector<std::string>& substrate_entry_points() {
 
 bool sanctioned_channel_type(const std::string& type) {
   return type.find("SweepScratch") != std::string::npos ||
-         type.find("RowClaims") != std::string::npos ||
          type.find("atomic") != std::string::npos;
 }
 
 bool sanctioned_channel_class(const std::string& cls) {
-  return cls == "SweepScratch" || cls == "RowClaims";
+  return cls == "SweepScratch";
 }
 
 bool lock_type(const std::string& type) {
@@ -580,7 +579,7 @@ void classify_r5_write(const FileModel& m, const ModelIndex& mi,
              (cls.empty() ? std::string("class") : cls) +
              " member mutated from a parallel region is shared across "
              "concurrent tasks (the PR 6 lane-table bug class). Move it "
-             "into per-worker SweepScratch, route it through RowClaims / "
+             "into per-worker SweepScratch, route it through "
              "std::atomic, index it by the task parameter, or certify "
              "with allow(R5)");
   };
@@ -637,7 +636,7 @@ void classify_r5_write(const FileModel& m, const ModelIndex& mi,
                "` — a by-reference capture of state declared outside the "
                "parallel lambda; every worker aliases it. Make it a "
                "per-worker slot indexed by the task parameter, a "
-               "SweepScratch/RowClaims channel, or "
+               "SweepScratch channel, or "
                "std::atomic — or certify with allow(R5)");
       return;
     }

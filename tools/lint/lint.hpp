@@ -29,7 +29,7 @@
 //       Engine helpers Phase A calls from its chunk tasks), a write to a
 //       class member, a by-reference capture, or a global is flagged
 //       unless it goes through a sanctioned channel: per-worker
-//       SweepScratch, RowClaims, std::atomic, a held lock
+//       SweepScratch, std::atomic, a held lock
 //       (scoped_lock/lock_guard/unique_lock in scope), or a slot
 //       subscripted by the task's own lambda parameter (the disjoint-
 //       slot contract). This is the PR 6 lane_dst_/lane_active_ bug

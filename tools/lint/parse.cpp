@@ -1,6 +1,7 @@
 #include "parse.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 namespace graffix::lint {
@@ -551,11 +552,37 @@ FileModel build_model(const std::vector<ScannedLine>& lines) {
     }
   };
 
+  // True when the brace at `i` sits inside a '(' opened earlier in the
+  // statement: a braced initializer in an argument or a default argument
+  // (`void f(T x = {}) {`). It opens a block, but the statement head runs
+  // on through it, so the body brace after ')' still sees the signature.
+  auto inside_parens = [&](std::size_t lo, std::size_t i) {
+    int depth = 0;
+    for (std::size_t j = lo; j < i; ++j) {
+      if (is_text(m.tokens[j], "(")) ++depth;
+      if (is_text(m.tokens[j], ")")) --depth;
+    }
+    return depth > 0;
+  };
+  std::vector<std::uint8_t> inline_brace(n, 0);
+
   std::size_t stmt = 0;
   for (std::size_t i = 0; i < n; ++i) {
     m.scope_of[i] = stack.back();
     const std::string& t = m.tokens[i].text;
-    if (t == "{") {
+    if (t == "{" && lambda_at.count(i) == 0 && inside_parens(stmt, i)) {
+      ScopeNode sn;
+      sn.parent = stack.back();
+      sn.open_tok = i;
+      sn.close_tok = m.match[i] == npos ? n : m.match[i];
+      const int idx = static_cast<int>(m.scopes.size());
+      m.scopes.push_back(std::move(sn));
+      m.scope_of[i] = idx;
+      stack.push_back(idx);
+      inline_brace[i] = 1;
+    } else if (t == "}" && m.match[i] != npos && inline_brace[m.match[i]]) {
+      if (stack.size() > 1) stack.pop_back();
+    } else if (t == "{") {
       ScopeNode sn;
       sn.parent = stack.back();
       sn.open_tok = i;
