@@ -87,6 +87,7 @@ class Driver {
     engine_.emplace(exec_graph(), config.sim);
     if (layout_->has_clusters) {
       cluster_engine_.emplace(layout_->cluster_graph, config.sim);
+      cluster_item_memos_.resize(layout_->cluster_items.size());
     }
   }
 
@@ -154,8 +155,8 @@ class Driver {
     for (std::size_t c = 0; c < clusters.size(); ++c) {
       if (!want(c)) continue;
       any = true;
-      const auto& items = layout_->cluster_items[c];
-      cluster_engine_->sweep(items, copts, fn, stats_);
+      cluster_engine_->sweep(layout_->cluster_items[c], copts, fn, stats_,
+                             &cluster_item_memos_[c]);
     }
     if (any && round == 0) stats_.sweeps += 1;  // the phase is one launch
   }
@@ -191,23 +192,23 @@ class Driver {
   template <typename Gate, typename Fn>
   void sweep_impl(std::span<const NodeId> slots_in_order, Gate&& gate,
                   Fn&& fn) {
-    const std::span<const WorkItem> work = work_for(slots_in_order);
-    track_primary(work.size());
+    const Work work = work_for(slots_in_order);
+    track_primary(work.items.size());
     // Each lane's gate check is one coalesced state load.
-    engine_->charge_uniform_kernel(work.size(), 1.0, stats_);
+    engine_->charge_uniform_kernel(work.items.size(), 1.0, stats_);
     stats_.sweeps -= 1;  // the gate load is part of this launch
-    engine_->sweep_gated(work, opts_, gate, fn, stats_);
+    engine_->sweep_gated(work.items, opts_, gate, fn, stats_, work.memo);
     if (has_clusters()) {
-      const std::span<const WorkItem> cwork = cluster_work_for(slots_in_order);
-      if (!cwork.empty()) {
+      const Work cwork = cluster_work_for(slots_in_order);
+      if (!cwork.items.empty()) {
         // Shared memory does not survive kernel launches: every sweep
         // re-streams the cluster edges from global memory (that IS the
         // staging load); only inner rounds within one launch (see
         // cluster_phase_round) get resident edges. Not its own launch:
         // it is part of the boundary sweep's.
-        primary_items_ += cwork.size();
-        cluster_engine_->sweep_gated(cwork, cluster_opts(false), gate, fn,
-                                     stats_);
+        primary_items_ += cwork.items.size();
+        cluster_engine_->sweep_gated(cwork.items, cluster_opts(false), gate,
+                                     fn, stats_, cwork.memo);
       }
       charge_staging(slots_in_order.size());
     }
@@ -226,27 +227,35 @@ class Driver {
            slots.size() == layout_->order.size();
   }
 
+  /// A sweep's work list, with the accounting memo that lives beside it
+  /// when the list is invariant (nullptr for frontier lists, which are
+  /// rebuilt every sweep).
+  struct Work {
+    std::span<const WorkItem> items;
+    sim::BlockMemo* memo = nullptr;
+  };
+
   /// Work list for one boundary sweep: cached across iterations for the
   /// invariant warp-order list, rebuilt per sweep for frontiers.
-  [[nodiscard]] std::span<const WorkItem> work_for(
-      std::span<const NodeId> slots) {
+  [[nodiscard]] Work work_for(std::span<const NodeId> slots) {
     if (invariant_order(slots)) {
       if (!cached_work_built_) {
         strategy_->make_work(exec_graph(), slots, cached_work_);
         cached_work_built_ = true;
       }
-      return cached_work_;
+      return {cached_work_, &cached_work_memo_};
     }
     strategy_->make_work(exec_graph(), slots, work_);
-    return work_;
+    return {work_};
   }
 
   /// Per-vertex items over the intra-cluster subgraph for the resident
   /// members of `slots`, cached like work_for.
-  [[nodiscard]] std::span<const WorkItem> cluster_work_for(
-      std::span<const NodeId> slots) {
+  [[nodiscard]] Work cluster_work_for(std::span<const NodeId> slots) {
     const bool invariant = invariant_order(slots);
-    if (invariant && cached_cluster_work_built_) return cached_cluster_work_;
+    if (invariant && cached_cluster_work_built_) {
+      return {cached_cluster_work_, &cached_cluster_work_memo_};
+    }
     std::vector<WorkItem>& out = invariant ? cached_cluster_work_ : cluster_work_;
     out.clear();
     const Csr& cgraph = layout_->cluster_graph;
@@ -256,8 +265,9 @@ class Driver {
       const NodeId d = cgraph.degree(s);
       if (d > 0) out.push_back({s, cgraph.edge_begin(s), d});
     }
-    if (invariant) cached_cluster_work_built_ = true;
-    return out;
+    if (!invariant) return {out};
+    cached_cluster_work_built_ = true;
+    return {out, &cached_cluster_work_memo_};
   }
 
   /// Options for a shared-memory cluster sweep (the boundary sweep's
@@ -560,6 +570,10 @@ class Driver {
   // reused every iteration (see work_for / invariant_order).
   std::vector<WorkItem> cached_work_;
   bool cached_work_built_ = false;
+  // Accounting memos, each beside the invariant list it describes. The
+  // per-cluster memos belong to the driver, not the shared Layout:
+  // concurrent BC forks sweep the same cluster lists.
+  sim::BlockMemo cached_work_memo_;
   SweepOptions opts_;
   KernelStats stats_;
   std::uint64_t primary_items_ = 0;
@@ -569,6 +583,8 @@ class Driver {
   std::vector<WorkItem> cluster_work_;
   std::vector<WorkItem> cached_cluster_work_;
   bool cached_cluster_work_built_ = false;
+  sim::BlockMemo cached_cluster_work_memo_;
+  std::vector<sim::BlockMemo> cluster_item_memos_;  // per cluster_items[c]
 
   /// order_active() scratch: duplicate counts + touched-position bitmap,
   /// both epoch-stamped so no per-sweep clearing is needed. A Driver, like

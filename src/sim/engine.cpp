@@ -121,6 +121,59 @@ void Engine::account_block(std::span<const WorkItem> items,
   }
 }
 
+void Engine::bind_memo(BlockMemo& memo, std::span<const WorkItem> items,
+                       std::size_t n_blocks) const {
+  if (memo.engine_ == nullptr) {
+    memo.engine_ = this;
+    memo.items_ = items.data();
+    memo.n_items_ = items.size();
+    memo.entries_.assign(n_blocks, BlockMemo::Entry{});
+  }
+  GRAFFIX_CHECK(memo.engine_ == this && memo.items_ == items.data() &&
+                    memo.n_items_ == items.size(),
+                "BlockMemo reused for another engine or work list");
+}
+
+void Engine::account_or_recall(std::span<const WorkItem> items,
+                               const SweepOptions& opts, std::size_t b,
+                               const BlockMeta& meta, SweepScratch& sc,
+                               BlockMemo* memo, KernelStats& st) const {
+  if (memo == nullptr) {
+    account_block(items, opts, b, meta, sc, st);
+    return;
+  }
+  const BlockMemo::Key key{meta.bits,
+                           opts.resident.data(),
+                           opts.resident.size(),
+                           opts.edge_mode,
+                           opts.attr_space,
+                           opts.edges_resident,
+                           opts.weighted,
+                           /*valid=*/true};
+  BlockMemo::Entry& e = memo->entries_[b];
+  if (!(e.key == key)) {
+    KernelStats fresh;
+    account_block(items, opts, b, meta, sc, fresh);
+    e = {key,
+         fresh.warp_steps,
+         fresh.lane_slots,
+         fresh.active_lanes,
+         fresh.edge_transactions,
+         fresh.attr_transactions,
+         fresh.attr_ideal_transactions,
+         fresh.shared_accesses,
+         fresh.bank_conflicts};
+  }
+  st.warp_steps += e.warp_steps;
+  st.lane_slots += e.lane_slots;
+  st.active_lanes += e.active_lanes;
+  st.edge_transactions += e.edge_transactions;
+  st.attr_transactions += e.attr_transactions;
+  st.attr_ideal_transactions += e.attr_ideal_transactions;
+  st.shared_accesses += e.shared_accesses;
+  st.bank_conflicts += e.bank_conflicts;
+}
+
 void Engine::charge_uniform_kernel(std::uint64_t n_items, double tx_per_item,
                                    KernelStats& stats) const {
   if (n_items == 0) return;

@@ -58,6 +58,16 @@
 // the walk's order keeps functor calls and every KernelStats counter
 // identical to a visit of every slot.
 //
+// Accounting is a pure function of a block's items, its step-0 live mask
+// and the SweepOptions fields it reads (the graph and config are fixed
+// per engine). Topology-driven drivers sweep the same invariant work list
+// every iteration, so they pass a BlockMemo owned beside that list: a
+// block whose mask and options equal the ones it showed last time adds
+// its cached counters instead of recounting them. The gate prepass, the
+// functional replay and the atomic counters are never memoized, and
+// frontier lists (rebuilt every sweep) take no memo. KernelStats are
+// byte-identical with or without one.
+//
 // Identical inputs give identical stats and results at every thread
 // count, including 1. A single Engine instance is not thread-safe; use
 // one engine per thread of control (forked drivers each own one). A
@@ -184,6 +194,51 @@ struct SweepScratch {
   }
 };
 
+class Engine;
+
+/// Per-warp-block accounting memo for one invariant work list on one
+/// engine (DESIGN.md §7). Each entry holds the exact key a block was
+/// last accounted under (step-0 live mask plus every SweepOptions field
+/// account_block reads) and the 8 counters it added; a sweep whose block
+/// shows the same key adds those counters instead of recounting. The
+/// memo binds to its first (engine, list) pair and refuses any other:
+/// the list, and any `resident` array its sweeps name, must stay
+/// unchanged while the memo lives. Sharded accounting chunks own disjoint
+/// block ranges, so each entry has exactly one writer per sweep.
+class BlockMemo {
+ private:
+  friend class Engine;
+
+  struct Key {
+    std::uint64_t bits = 0;  // BlockMeta::bits
+    const NodeId* resident = nullptr;
+    std::size_t resident_size = 0;
+    EdgeLoadMode edge_mode = EdgeLoadMode::Csr;
+    AttrSpace attr_space = AttrSpace::Global;
+    bool edges_resident = false;
+    bool weighted = false;
+    bool valid = false;  // false until the block is first accounted
+    bool operator==(const Key&) const = default;
+  };
+  struct Entry {
+    Key key;
+    std::uint64_t warp_steps;
+    std::uint64_t lane_slots;
+    std::uint64_t active_lanes;
+    std::uint64_t edge_transactions;
+    std::uint64_t attr_transactions;
+    std::uint64_t attr_ideal_transactions;
+    std::uint64_t shared_accesses;
+    std::uint64_t bank_conflicts;
+  };
+
+  const Engine* engine_ = nullptr;
+  const WorkItem* items_ = nullptr;
+  std::size_t n_items_ = 0;
+  // Arena-pooled like SweepScratch: a driver's memos die with it.
+  ArenaVector<Entry> entries_;
+};
+
 class Engine {
  public:
   Engine(const Csr& graph, SimConfig config)
@@ -200,12 +255,13 @@ class Engine {
   /// committed an atomic update to v's attribute.
   ///
   /// Functional state lives entirely in the caller; the engine only
-  /// observes addresses and commit flags.
+  /// observes addresses and commit flags. `memo`, when given, is the
+  /// accounting memo of `items` (an invariant list; see BlockMemo).
   template <typename EdgeFn>
   void sweep(std::span<const WorkItem> items, const SweepOptions& opts,
-             EdgeFn&& fn, KernelStats& stats) {
+             EdgeFn&& fn, KernelStats& stats, BlockMemo* memo = nullptr) {
     sweep_gated(items, opts, [](NodeId) { return true; },
-                std::forward<EdgeFn>(fn), stats);
+                std::forward<EdgeFn>(fn), stats, memo);
   }
 
   /// sweep() with per-source gating: lanes whose gate(src) is false idle
@@ -217,7 +273,8 @@ class Engine {
   /// the file comment.
   template <typename Gate, typename EdgeFn>
   void sweep_gated(std::span<const WorkItem> items, const SweepOptions& opts,
-                   Gate&& gate, EdgeFn&& fn, KernelStats& stats) {
+                   Gate&& gate, EdgeFn&& fn, KernelStats& stats,
+                   BlockMemo* memo = nullptr) {
     if (opts.charge_launch) stats.sweeps += 1;
     if (items.empty()) return;
     // The engine's per-sweep scratch (block_meta_, chunk lists, lane
@@ -238,6 +295,7 @@ class Engine {
     const std::size_t n_blocks = (items.size() + ws - 1) / ws;
     const std::size_t n_chunks = sweep_chunk_count(n_blocks);
     block_meta_.resize(n_blocks);
+    if (memo != nullptr) bind_memo(*memo, items, n_blocks);
 
     // Evaluates the gate for every lane of block b, records {bits,
     // max_len}, and reports whether the block has any work.
@@ -282,7 +340,7 @@ class Engine {
       SweepScratch& sc = scratch_[0];
       sc.ensure(ws, config_.shared_banks);
       for (const std::size_t b : live) {
-        account_block(items, opts, b, block_meta_[b], sc, stats);
+        account_or_recall(items, opts, b, block_meta_[b], sc, memo, stats);
         functional_block(items, b, block_meta_[b], sc, fn, stats);
       }
       return;
@@ -307,7 +365,7 @@ class Engine {
       for (std::size_t b = chunk_begin(c); b < block_end; ++b) {
         if (!eval_gate(b)) continue;
         live.push_back(b);
-        account_block(items, opts, b, block_meta_[b], sc, st);
+        account_or_recall(items, opts, b, block_meta_[b], sc, memo, st);
       }
     };
     if (n_chunks == 1) {
@@ -378,6 +436,21 @@ class Engine {
   void account_block(std::span<const WorkItem> items, const SweepOptions& opts,
                      std::size_t b, const BlockMeta& meta, SweepScratch& sc,
                      KernelStats& st) const;
+
+  /// The one point where a sweep accounts a block, on the fused path and
+  /// in sharded Phase A alike. Without a memo it is account_block. With
+  /// one, a block whose key matches its entry adds the cached counters; a
+  /// miss runs account_block into a zeroed KernelStats, stores the 8
+  /// counters it produced, then adds them.
+  void account_or_recall(std::span<const WorkItem> items,
+                         const SweepOptions& opts, std::size_t b,
+                         const BlockMeta& meta, SweepScratch& sc,
+                         BlockMemo* memo, KernelStats& st) const;
+
+  /// Binds a fresh memo to (this engine, items) and sizes it to n_blocks
+  /// entries; a bound memo must be handed the same pair again.
+  void bind_memo(BlockMemo& memo, std::span<const WorkItem> items,
+                 std::size_t n_blocks) const;
 
   /// Whether a lane earlier than l in one step's live mask `step` wrote
   /// destination v at that step. `step` is the mask the step began with,

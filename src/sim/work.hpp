@@ -10,9 +10,10 @@
 // strategy's decomposition is a pure function of (graph, slots) — see
 // baselines::Strategy::work_is_slot_invariant. Runners exploit this by
 // building such layouts once per driver (and once per cluster in the
-// shared Layout) and reusing them across iterations; a cached layout is
-// only valid for the exact (graph, order, strategy) triple it was built
-// from, so swapping any of those means building a new driver.
+// shared Layout) and reusing them across iterations, each with a
+// BlockMemo of its warp blocks' accounting (sim/engine.hpp); a cached
+// layout is only valid for the exact (graph, order, strategy) triple it
+// was built from, so swapping any of those means building a new driver.
 //
 // Work lists built from a *frontier* (data-driven sweeps) are rebuilt per
 // sweep from the active list. Frontiers produced inside a sweep — SSSP's
@@ -35,7 +36,7 @@ struct WorkItem {
 };
 
 /// How lanes' loads from the edges array coalesce.
-enum class EdgeLoadMode {
+enum class EdgeLoadMode : std::uint8_t {
   /// Each lane streams its own adjacency range: segments counted from the
   /// actual byte addresses (the common CSR layout).
   Csr,
@@ -46,7 +47,7 @@ enum class EdgeLoadMode {
 };
 
 /// Which memory space serves node-attribute accesses during a sweep.
-enum class AttrSpace {
+enum class AttrSpace : std::uint8_t {
   Global,
   Shared,  // cluster phases: all attributes resident in shared memory
 };

@@ -767,6 +767,83 @@ TEST(RunnerGolden, ShardedPhaseAMatchesPinnedDigests) {
   expect_runner_goldens("8 chunks");
 }
 
+// --- pinned per-iteration trace goldens --------------------------------
+
+/// One digest over a run's whole trace: every TracePoint's iteration and
+/// all 12 cumulative KernelStats counters, in trace order.
+struct TraceGoldenCell {
+  Technique technique;
+  core::Algorithm alg;
+  std::uint64_t digest;
+};
+
+// Baseline-I (topology-driven) SSSP, SCC and BC on rmat26 at scale 11,
+// exact and under the latency technique: the cells whose gates change
+// mid-run, so their per-block live masks change from one sweep to the
+// next. RunnerGolden pins only run totals; these pin every iteration's
+// cumulative stats. Recorded before per-block accounting was memoized.
+constexpr TraceGoldenCell kTraceGoldens[] = {
+    {Technique::None, core::Algorithm::SSSP, 0x76b91572a49b2433ull},
+    {Technique::None, core::Algorithm::SCC, 0xbf5da87fc5669f09ull},
+    {Technique::None, core::Algorithm::BC, 0xb056cfd2c2e2741eull},
+    {Technique::Latency, core::Algorithm::SSSP, 0x0132c35299448253ull},
+    {Technique::Latency, core::Algorithm::SCC, 0xa25c4d103aaaf4bcull},
+    {Technique::Latency, core::Algorithm::BC, 0x371078c20c694f14ull},
+};
+
+std::uint64_t trace_digest(const core::RunOutput& out) {
+  Fnv64 f;
+  f.add(static_cast<std::uint64_t>(out.trace.size()));
+  for (const core::TracePoint& p : out.trace) {
+    const sim::KernelStats& s = p.stats;
+    f.add(static_cast<std::uint64_t>(p.iteration));
+    for (const std::uint64_t c :
+         {s.sweeps, s.warp_steps, s.lane_slots, s.active_lanes,
+          s.edge_transactions, s.attr_transactions, s.attr_ideal_transactions,
+          s.shared_accesses, s.bank_conflicts, s.atomic_commits,
+          s.atomic_conflicts, s.aux_ops}) {
+      f.add(c);
+    }
+  }
+  return f.h;
+}
+
+void expect_trace_goldens(const char* policy) {
+  for (const Technique technique : {Technique::None, Technique::Latency}) {
+    core::ExperimentConfig config;
+    config.technique = technique;
+    config = core::resolve_for_graph(config, GraphPreset::Rmat26);
+    Pipeline pipeline(make_preset(GraphPreset::Rmat26, 11, 13));
+    core::apply_technique(pipeline, config);
+    core::RunConfig rc;
+    rc.baseline = baselines::BaselineId::TopologyDriven;
+    rc.seed = 13;
+    rc.sssp_source = pipeline.slot_of_node(busiest_node(pipeline.original()));
+    rc.bc_sample_count = 3;
+    rc.collect_trace = true;
+    for (const TraceGoldenCell& cell : kTraceGoldens) {
+      if (cell.technique != technique) continue;
+      const core::RunOutput out = pipeline.run(cell.alg, rc);
+      ASSERT_GT(out.trace.size(), std::size_t{1})
+          << core::algorithm_name(cell.alg);
+      const std::uint64_t got = trace_digest(out);
+      EXPECT_EQ(got, cell.digest)
+          << policy << ": " << technique_name(technique) << " "
+          << core::algorithm_name(cell.alg) << " trace digest 0x" << std::hex
+          << got;
+    }
+  }
+}
+
+TEST(TraceGolden, AutomaticChunkPolicyMatchesPinnedDigests) {
+  expect_trace_goldens("automatic");
+}
+
+TEST(TraceGolden, ShardedPhaseAMatchesPinnedDigests) {
+  const sim::ScopedGlobalSweepChunks forced(8);
+  expect_trace_goldens("8 chunks");
+}
+
 // --- host reference algorithms (cross-round ordering) ----------------
 
 TEST(HostAlgorithmDeterminism, BellmanFordLongChainAcrossThreadCounts) {

@@ -15,9 +15,11 @@
 // aggregate and the append ORDER bit-for-bit. Driver-level tests then
 // force the global chunk policy and pin full run_algorithm outputs
 // (attr, stats, sim_seconds, trace) for run_sssp and run_bc against the
-// unforced one-thread baseline. The engine's reentrancy guard is pinned
-// by death tests: nested sweeps on one engine die loudly instead of
-// corrupting scratch.
+// unforced one-thread baseline. The accounting memo is pinned the same
+// way: a warm memo must give the KernelStats of a fresh, memo-less
+// engine after every sweep of a schedule whose gates and options change
+// and recur. The engine's reentrancy guard is pinned by death tests:
+// nested sweeps on one engine die loudly instead of corrupting scratch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -609,6 +611,182 @@ TEST(ReplayEquivalence, OrderSensitiveFunctorTakesSerialFallback) {
                           " threads=" + std::to_string(t));
     }
   }
+}
+
+// --- accounting memo: a warm memo equals a fresh engine ----------------
+
+/// One sweep of the memo schedule: which gate, and the options the memo
+/// keys on (`resident`: 0 = none, 1 and 2 = two same-size arrays, 3 = an
+/// empty span at array 1's address).
+struct MemoStep {
+  int gate;
+  bool edges_resident;
+  bool weighted;
+  bool shared_attr = false;
+  int resident = 0;
+};
+
+// Gates change and recur, edge residency and the weights stream flip on
+// and off, and the attribute space and residency array join the key.
+// Shared-attribute and resident sweeps repeat, so hits carry shared
+// accesses and bank conflicts too.
+constexpr MemoStep kMemoSchedule[] = {
+    {0, false, true},          {0, false, true},
+    {1, false, true},          {1, true, true},
+    {0, true, true},           {0, false, false},
+    {2, false, false},         {1, false, true},
+    {2, true, false},          {0, false, true, true},
+    {0, false, true, true},    {0, false, true, false, 1},
+    {0, false, true, false, 1}, {0, false, true, false, 2},
+    {0, false, true, false, 3}, {0, false, true, false, 1},
+    {1, false, true},
+};
+
+/// Items over every slot minus the last 3 (a partial tail warp at warp
+/// sizes 8, 32 and 64), with every 7th item cut to zero length so that
+/// gated-in empty lanes sit inside live blocks.
+std::vector<sim::WorkItem> memo_items(const Csr& g) {
+  std::vector<sim::WorkItem> items = sim::items_all_vertices(g);
+  items.resize(items.size() - 3);
+  for (std::size_t i = 0; i < items.size(); i += 7) items[i].edge_count = 0;
+  return items;
+}
+
+/// Three gates over sources: all, a stride, and a window that kills the
+/// first 100 slots (whole blocks at every warp size) plus a stride.
+bool memo_gate(int gate, NodeId u) {
+  switch (gate) {
+    case 0:
+      return true;
+    case 1:
+      return u % 3 != 1;
+    default:
+      return u >= 100 && u % 5 < 3;
+  }
+}
+
+/// Sweeps the schedule on one engine whose memo persists and, after every
+/// sweep, compares its KernelStats and attributes with a fresh, memo-less
+/// engine that ran the same sweep from the same state.
+void expect_warm_memo_matches_fresh(const Csr& g, std::uint32_t warp_size,
+                                    std::size_t chunks, int threads) {
+  sim::SimConfig config;
+  config.warp_size = warp_size;
+  const std::vector<sim::WorkItem> items = memo_items(g);
+  // Two residency arrays of one size, so only their address tells them
+  // apart in the key, and an empty span that shares an address with one.
+  std::vector<NodeId> resident[2];
+  for (NodeId s = 0; s < g.num_slots(); ++s) {
+    resident[0].push_back(s / 48);
+    resident[1].push_back(s / 16);
+  }
+  set_num_threads(threads);
+  sim::Engine warm(g, config);
+  const sim::ScopedSweepChunks forced(warm, chunks);
+  sim::BlockMemo memo;
+  std::uint64_t bank_conflicts = 0;
+  std::vector<double> warm_attr(g.num_slots(), 1.0);
+  std::vector<double> fresh_attr = warm_attr;
+  for (std::size_t i = 0; i < std::size(kMemoSchedule); ++i) {
+    const MemoStep& step = kMemoSchedule[i];
+    sim::SweepOptions opts;
+    opts.edges_resident = step.edges_resident;
+    opts.weighted = step.weighted;
+    if (step.shared_attr) opts.attr_space = sim::AttrSpace::Shared;
+    if (step.resident == 3) opts.resident = {resident[0].data(), 0};
+    if (step.resident == 1 || step.resident == 2) {
+      opts.resident = resident[step.resident - 1];
+    }
+    const auto gate = [&](NodeId u) { return memo_gate(step.gate, u); };
+    const auto relax = [](std::vector<double>& attr) {
+      return [&attr](NodeId u, NodeId v, Weight w) {
+        const double nd = attr[u] + static_cast<double>(w);
+        if (nd < attr[v] || attr[v] == 1.0) {
+          attr[v] = nd * 0.5;
+          return true;
+        }
+        return false;
+      };
+    };
+    sim::KernelStats warm_stats;
+    warm.sweep_gated(items, opts, gate, relax(warm_attr), warm_stats, &memo);
+    sim::Engine fresh(g, config);
+    sim::KernelStats fresh_stats;
+    fresh.sweep_gated(items, opts, gate, relax(fresh_attr), fresh_stats);
+    const std::string what =
+        "ws=" + std::to_string(warp_size) + " chunks=" +
+        std::to_string(chunks) + " threads=" + std::to_string(threads) +
+        " weighted graph=" + std::to_string(g.has_weights()) + " sweep " +
+        std::to_string(i);
+    EXPECT_GT(fresh_stats.active_lanes, 0u) << what;
+    bank_conflicts += fresh_stats.bank_conflicts;
+    expect_same_run({fresh_stats, fresh_attr}, {warm_stats, warm_attr}, what);
+  }
+  EXPECT_GT(bank_conflicts, 0u);
+  set_num_threads(0);
+}
+
+Csr without_weights(const Csr& g) {
+  return Csr(std::vector<EdgeId>(g.offsets().begin(), g.offsets().end()),
+             std::vector<NodeId>(g.targets().begin(), g.targets().end()));
+}
+
+TEST(AccountingMemo, WarmMemoMatchesFreshEngineEverySweep) {
+  // chunks == 0 is the automatic policy: the fused path at 1 thread.
+  constexpr std::size_t kMemoChunks[] = {0, 1, 3, 8};
+  const Csr weighted = make_preset(GraphPreset::Rmat26, 11, 13);
+  ASSERT_TRUE(weighted.has_weights());
+  const Csr unweighted = without_weights(weighted);
+  for (const Csr* g : {&weighted, &unweighted}) {
+    for (const std::uint32_t ws : {8u, 32u, 64u}) {
+      for (const std::size_t chunks : kMemoChunks) {
+        for (const int t : kThreadCounts) {
+          expect_warm_memo_matches_fresh(*g, ws, chunks, t);
+        }
+      }
+    }
+  }
+}
+
+TEST(AccountingMemo, HitsAddCachedCountersWithoutRecounting) {
+  // Proof that the memo is consulted at all: it trusts its list, so
+  // shortening a live item under a warm memo (which the contract forbids)
+  // must leave the stale counters in place, while a fresh engine sees
+  // the change.
+  const Csr g = make_preset(GraphPreset::Rmat26, 10, 13);
+  std::vector<sim::WorkItem> items = sim::items_all_vertices(g);
+  sim::Engine warm(g, sim::SimConfig{});
+  sim::BlockMemo memo;
+  sim::SweepOptions opts;
+  const auto none = [](NodeId, NodeId, Weight) { return false; };
+  sim::KernelStats first;
+  warm.sweep(items, opts, none, first, &memo);
+  const NodeId hub = busiest_node(g);
+  ASSERT_GT(items[hub].edge_count, 1u);
+  items[hub].edge_count = 1;
+  sim::KernelStats stale;
+  warm.sweep(items, opts, none, stale, &memo);
+  EXPECT_EQ(stale, first);
+  sim::Engine fresh(g, sim::SimConfig{});
+  sim::KernelStats recounted;
+  fresh.sweep(items, opts, none, recounted);
+  EXPECT_LT(recounted.active_lanes, first.active_lanes);
+}
+
+TEST(AccountingMemoDeathTest, MemoRefusesAnotherList) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Csr g = make_preset(GraphPreset::Rmat26, 10, 13);
+  const auto items = sim::items_all_vertices(g);
+  const auto other = items;
+  const auto rebind = [&] {
+    sim::Engine engine(g, sim::SimConfig{});
+    sim::BlockMemo memo;
+    sim::KernelStats stats;
+    const auto none = [](NodeId, NodeId, Weight) { return false; };
+    engine.sweep(items, sim::SweepOptions{}, none, stats, &memo);
+    engine.sweep(other, sim::SweepOptions{}, none, stats, &memo);
+  };
+  EXPECT_DEATH(rebind(), "BlockMemo reused");
 }
 
 // --- reentrancy guard (the latent-bug fix) ---------------------------
