@@ -386,6 +386,9 @@ bool run_scale(const graffix::bench::BenchOptions& options, std::uint32_t scale,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Read before parse_args pins --threads: with no override this is the
+  // CPU count of the process affinity mask.
+  const int procs = graffix::num_threads();
   auto options = graffix::bench::parse_args(argc, argv);
   const std::string json_path =
       options.json_path.empty() ? "BENCH_engine.json" : options.json_path;
@@ -412,8 +415,7 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "{\"bench\":\"bench_micro_engine\",\"schema\":4,"
                  "\"seed\":%llu,\"procs\":%d,\"scales\":[",
-                 static_cast<unsigned long long>(options.seed),
-                 omp_get_num_procs());
+                 static_cast<unsigned long long>(options.seed), procs);
   }
 
   bool all_identical = true;

@@ -58,7 +58,7 @@ void BM_PrefixSum(benchmark::State& state) {
   for (auto _ : state) {
     auto copy = values;
     benchmark::DoNotOptimize(
-        parallel_exclusive_scan_inplace(std::span<std::uint64_t>(copy)));
+        exclusive_scan_inplace(std::span<std::uint64_t>(copy)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

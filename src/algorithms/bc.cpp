@@ -62,8 +62,8 @@ std::vector<double> betweenness_centrality(const Csr& graph,
   // sources in source order into a private per-slot array, and blocks
   // are absorbed into `bc` in ascending block order, so the FP sum
   // grouping — and therefore the output — is bit-identical at every
-  // thread count. (The previous raw `#pragma omp critical` merge summed
-  // per-thread partials in team completion order, which was not.)
+  // thread count. (Summing per-thread partials in completion order,
+  // under a lock, would not be.)
   // Blocks run in bounded-memory waves: a wave holds at most kWave
   // per-slot accumulators regardless of the source count.
   constexpr std::size_t kSourcesPerBlock = 32;

@@ -1,10 +1,8 @@
 #include "algorithms/sssp.hpp"
 
-#include <atomic>
 #include <queue>
 
 #include "util/macros.hpp"
-#include "util/parallel.hpp"
 
 namespace graffix {
 
@@ -47,47 +45,27 @@ std::vector<Weight> sssp_bellman_ford(const Csr& graph, NodeId source,
   GRAFFIX_CHECK(source < slots && !graph.is_hole(source), "bad source %u",
                 source);
   if (max_rounds == 0) max_rounds = slots + 1;
-  // Atomic-min relaxation on float bit patterns (non-negative floats
-  // preserve order as unsigned integers).
-  std::vector<std::atomic<Weight>> dist(slots);
-  for (auto& d : dist) d.store(kInfWeight, std::memory_order_relaxed);
-  dist[source].store(0, std::memory_order_relaxed);
-
-  // Cross-round progress detection goes through the deterministic
-  // any-reduction (per-task verdicts OR-folded after the join) instead
-  // of the old relaxed atomic-bool store/load pair, which was ordered
-  // against the next round's check only by grace of the dispatch
-  // barrier. The per-task fold makes the round count a pure function of
-  // which relaxations succeeded — the distances themselves were already
-  // deterministic (atomic-min fixpoint).
+  std::vector<Weight> dist(slots, kInfWeight);
+  dist[source] = 0;
+  const bool weighted = graph.has_weights();
   bool changed = true;
   for (std::uint32_t round = 0; round < max_rounds && changed; ++round) {
-    changed = parallel_for_dynamic_any(NodeId{0}, slots, [&](NodeId u) {
-      if (graph.is_hole(u)) return false;
-      const Weight du = dist[u].load(std::memory_order_relaxed);
-      if (du == kInfWeight) return false;
+    changed = false;
+    for (NodeId u = 0; u < slots; ++u) {
+      if (graph.is_hole(u) || dist[u] == kInfWeight) continue;
       const auto nbrs = graph.neighbors(u);
-      const bool weighted = graph.has_weights();
       const auto wts =
           weighted ? graph.edge_weights(u) : std::span<const Weight>{};
-      bool relaxed_any = false;
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const Weight nd = du + (weighted ? wts[i] : Weight{1});
-        Weight cur = dist[nbrs[i]].load(std::memory_order_relaxed);
-        while (nd < cur) {
-          if (dist[nbrs[i]].compare_exchange_weak(cur, nd,
-                                                  std::memory_order_relaxed)) {
-            relaxed_any = true;
-            break;
-          }
+        const Weight nd = dist[u] + (weighted ? wts[i] : Weight{1});
+        if (nd < dist[nbrs[i]]) {
+          dist[nbrs[i]] = nd;
+          changed = true;
         }
       }
-      return relaxed_any;
-    });
+    }
   }
-  std::vector<Weight> out(slots);
-  for (NodeId s = 0; s < slots; ++s) out[s] = dist[s].load();
-  return out;
+  return dist;
 }
 
 }  // namespace graffix

@@ -12,7 +12,7 @@ namespace graffix {
 /// as all-ones.
 [[nodiscard]] std::vector<Weight> sssp_dijkstra(const Csr& graph, NodeId source);
 
-/// Parallel Bellman-Ford (round-based relax-to-fixpoint); used to
+/// Serial Bellman-Ford (round-based relax-to-fixpoint); used to
 /// cross-check Dijkstra and as the shape of the device kernel.
 [[nodiscard]] std::vector<Weight> sssp_bellman_ford(const Csr& graph,
                                                     NodeId source,

@@ -160,12 +160,8 @@ std::vector<ExperimentRow> run_graph(const SuiteEntry& entry,
       cells[t / 2].approx = pipeline.run(alg, rc);
     }
   };
-  const std::size_t n_tasks = 2 * cells.size();
-  if (n_tasks > 1 && effective_workers() > 1 && !in_parallel()) {
-    parallel_for_dynamic(std::size_t{0}, n_tasks, run_cell, /*grain=*/1);
-  } else {
-    for (std::size_t t = 0; t < n_tasks; ++t) run_cell(t);
-  }
+  parallel_for_dynamic(std::size_t{0}, 2 * cells.size(), run_cell,
+                       /*grain=*/1);
 
   std::vector<ExperimentRow> rows;
   rows.reserve(cells.size());
@@ -235,11 +231,7 @@ std::vector<ExperimentRow> run_exact_table(const ExperimentConfig& config) {
     rc.bc_sources = c.bc_nodes;
     outs[t] = c.pipeline->run_exact(config.algorithms[t % n_algs], rc);
   };
-  if (outs.size() > 1 && effective_workers() > 1 && !in_parallel()) {
-    parallel_for_dynamic(std::size_t{0}, outs.size(), run_cell, /*grain=*/1);
-  } else {
-    for (std::size_t t = 0; t < outs.size(); ++t) run_cell(t);
-  }
+  parallel_for_dynamic(std::size_t{0}, outs.size(), run_cell, /*grain=*/1);
 
   std::vector<ExperimentRow> rows;
   rows.reserve(outs.size());

@@ -7,7 +7,6 @@
 #pragma once
 
 #include "algorithms/bc.hpp"
-#include "algorithms/bfs.hpp"
 #include "algorithms/mst.hpp"
 #include "algorithms/pagerank.hpp"
 #include "algorithms/scc.hpp"

@@ -974,21 +974,15 @@ RunOutput run_bc(const Csr& graph, const RunConfig& config) {
   };
 
   // One fork per source even on one thread: a single code path cannot
-  // drift between thread counts. Nested callers (the bench matrix) keep
-  // the source loop serial — the inner engine shards then. The fan-out
-  // is sized by the concurrency actually available: oversubscribing a
-  // smaller machine would only slow the sources down.
+  // drift between thread counts. Nested callers (the bench matrix) see
+  // one effective worker and run the source loop inline, in source
+  // order. The fan-out is sized by the concurrency actually available:
+  // oversubscribing a smaller machine would only slow the sources down.
   std::vector<SourceResult> results(sources.size());
-  if (sources.size() > 1 && effective_workers() > 1 && !in_parallel()) {
-    parallel_for_dynamic(
-        std::size_t{0}, results.size(),
-        [&](std::size_t k) { run_source(sources[k], results[k]); },
-        /*grain=*/1);
-  } else {
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      run_source(sources[k], results[k]);
-    }
-  }
+  parallel_for_dynamic(
+      std::size_t{0}, results.size(),
+      [&](std::size_t k) { run_source(sources[k], results[k]); },
+      /*grain=*/1);
 
   // Ordered reduction: contributions are added in source order (fixed FP
   // accumulation order), counters in source order (integer sums).

@@ -73,8 +73,9 @@ Csr Csr::transpose() const {
   // Algorithm selection keys on the workers that can actually run
   // concurrently: the block-histogram path does strictly more work than
   // the serial counting sort, so picking it under an oversubscribed
-  // pool (logical threads > cores) would pay its overhead with no
-  // parallelism to recoup it. Both paths are bit-identical.
+  // pool (logical threads > cores) or inside a pool task (one worker)
+  // would pay its overhead with no parallelism to recoup it. Both paths
+  // are bit-identical.
   const int threads = effective_workers();
 
   if (threads <= 1 || m < kParallelTransposeMinEdges) {
@@ -105,7 +106,7 @@ Csr Csr::transpose() const {
   // target) histograms fix every edge's final position before the
   // scatter, so the output is bit-identical to the serial path for any
   // thread count. Work is indexed by block id (not thread id) so the
-  // result does not depend on how OpenMP sizes the team.
+  // result does not depend on how many pool workers join.
   const auto T = static_cast<std::size_t>(threads);
   const std::size_t chunk = (static_cast<std::size_t>(slots) + T - 1) / T;
   const auto block_range = [&](std::size_t b) {
@@ -138,7 +139,7 @@ Csr Csr::transpose() const {
     }
     offsets[v] = total;
   });
-  parallel_exclusive_scan_inplace(std::span<EdgeId>(offsets));
+  exclusive_scan_inplace(std::span<EdgeId>(offsets));
   // Convert each block's count into its running write base.
   parallel_for(NodeId{0}, slots, [&](NodeId v) {
     EdgeId running = offsets[v];

@@ -17,7 +17,7 @@ Csr rebuild_with_extras(const Csr& base,
   parallel_for(NodeId{0}, n, [&](NodeId u) {
     offsets[u] = base.degree(u) + (extra.empty() ? 0 : extra[u].size());
   });
-  parallel_exclusive_scan_inplace(std::span<EdgeId>(offsets));
+  exclusive_scan_inplace(std::span<EdgeId>(offsets));
 
   std::vector<NodeId> targets(offsets.back());
   std::vector<Weight> weights(weighted ? offsets.back() : 0);
@@ -56,7 +56,7 @@ Csr rebuild_with_extras(Csr&& base,
     offsets[u] = (bofs[u + 1] - bofs[u]) +
                  (extra.empty() ? 0 : extra[u].size());
   });
-  parallel_exclusive_scan_inplace(std::span<EdgeId>(offsets));
+  exclusive_scan_inplace(std::span<EdgeId>(offsets));
 
   std::vector<NodeId> targets(offsets.back());
   parallel_for_dynamic(NodeId{0}, n, [&](NodeId u) {
@@ -102,7 +102,7 @@ Csr rebuild_from_adjacency(std::span<const std::vector<ExtraArc>> adj,
 
   std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
   parallel_for(NodeId{0}, n, [&](NodeId u) { offsets[u] = adj[u].size(); });
-  parallel_exclusive_scan_inplace(std::span<EdgeId>(offsets));
+  exclusive_scan_inplace(std::span<EdgeId>(offsets));
 
   std::vector<NodeId> targets(offsets.back());
   std::vector<Weight> weights(weighted ? offsets.back() : 0);

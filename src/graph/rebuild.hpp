@@ -1,11 +1,11 @@
-// Shared OpenMP-parallel CSR rebuild path.
+// Shared parallel CSR rebuild path.
 //
 // Every Graffix transform ends the same way: a new Csr whose adjacency is
 // the old adjacency plus some per-node extra arcs (divergence, latency),
 // or a fully rewritten per-node arc list (replication, symmetrization).
 // Rebuilding that Csr serially dominates preprocessing wall-time at scale
-// (Table 5), so the rebuild is centralized here: per-node counts ->
-// deterministic parallel exclusive scan -> parallel per-node scatter.
+// (Table 5), so the rebuild is centralized here: parallel per-node counts
+// -> serial exclusive scan -> parallel per-node scatter.
 // The output is bit-identical for every thread count, because each slot's
 // final edge range is fixed by the scan before any thread writes it (the
 // determinism-under-parallelism contract; see DESIGN.md §7).

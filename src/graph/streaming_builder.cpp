@@ -41,7 +41,7 @@ void StreamingCsrBuilder::count(std::span<const EdgeTriple> chunk) {
 void StreamingCsrBuilder::finish_counts() {
   GRAFFIX_CHECK(stage_ == Stage::Counting, "finish_counts() called twice");
   stage_ = Stage::Scattering;
-  parallel_exclusive_scan_inplace(std::span<EdgeId>(offsets_));
+  exclusive_scan_inplace(std::span<EdgeId>(offsets_));
   GRAFFIX_CHECK(offsets_.back() == counted_, "scan total %llu != counted %llu",
                 static_cast<unsigned long long>(offsets_.back()),
                 static_cast<unsigned long long>(counted_));

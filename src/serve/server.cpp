@@ -379,22 +379,28 @@ void Server::process_wave(std::vector<Job>& wave) {
     units[u].reserve(unit_indices[u].size());
     for (const std::size_t i : unit_indices[u]) units[u].push_back(&wave[i]);
   }
-  // Units run concurrently on the persistent pool. SSSP/BFS units run a
-  // serial frontier kernel and the PR/BC runners' engine sweeps see
-  // in_parallel() and stay serial, so there is exactly one layer of
-  // parallelism — across units, never within.
+  // Units run concurrently on the persistent pool, one unit per task:
+  // their costs range from one lane on a small frontier to a full batch
+  // on a hub, so the grain is 1 (the default of 256 would run a whole
+  // wave as one serial task). SSSP/BFS units run a serial frontier
+  // kernel and the PR/BC runners' engine sweeps see one effective worker
+  // and stay serial, so there is exactly one layer of parallelism —
+  // across units, never within.
   // A throwing unit answers its own jobs instead of taking down the
   // daemon (or, worse, leaving their sessions waiting forever).
-  parallel_for_each_dynamic(units, [&](const std::vector<Job*>& unit, std::size_t) {
-    try {
-      run_query_unit(unit);
-    } catch (const std::exception& e) {
-      for (Job* job : unit) {
-        respond_error(job->session, job->req.id, ErrorCode::Internal,
-                      std::string("internal error: ") + e.what());
-      }
-    }
-  });
+  parallel_for_dynamic(
+      std::size_t{0}, units.size(),
+      [&](std::size_t u) {
+        try {
+          run_query_unit(units[u]);
+        } catch (const std::exception& e) {
+          for (Job* job : units[u]) {
+            respond_error(job->session, job->req.id, ErrorCode::Internal,
+                          std::string("internal error: ") + e.what());
+          }
+        }
+      },
+      /*grain=*/1);
 }
 
 void Server::run_query_unit(const std::vector<Job*>& unit) {

@@ -8,7 +8,7 @@
 //                                                          |  waves
 //                                                 batcher (form_units)
 //                                                          |
-//                                        parallel_for_each_dynamic over
+//                                        parallel_for_dynamic over
 //                                        units on the persistent pool
 //
 // Control ops (stats, transform, ping, shutdown) execute inline on the

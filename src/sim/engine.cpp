@@ -28,10 +28,11 @@ std::size_t Engine::sweep_chunk_count(std::size_t n_blocks) const {
   if (const std::size_t g = global_sweep_chunks_for_test(); g > 0) {
     return std::min(g, n_blocks);
   }
-  if (n_blocks < kMinBlocksToShard || in_parallel()) return 1;
+  if (n_blocks < kMinBlocksToShard) return 1;
   // Oversubscribed pools (more threads pinned than processors) cannot
   // speed up the accounting phase — shard by what the machine can
-  // actually run. One-worker machines stay on the fused serial path.
+  // actually run. One-worker machines, and sweeps nested in a pool task,
+  // stay on the fused serial path.
   const auto workers = static_cast<std::size_t>(effective_workers());
   if (workers <= 1) return 1;
   return std::max<std::size_t>(
@@ -47,19 +48,14 @@ void Engine::account_block(std::span<const WorkItem> items,
   const bool csr_mode = opts.edge_mode == EdgeLoadMode::Csr;
   const bool ideal_mode = opts.edge_mode == EdgeLoadMode::IdealWarpPacked;
   const bool shared_attr = opts.attr_space == AttrSpace::Shared;
-  const bool have_resident = !opts.resident.empty();
   const std::uint64_t edge_bytes = config_.edge_bytes;
   const std::uint64_t attr_bytes = config_.attr_bytes;
   const std::uint64_t seg_bytes = config_.transaction_bytes;
   const std::uint32_t banks = config_.shared_banks;
   const WorkItem* block = items.data() + b * ws;
   const NodeId max_len = meta.max_len;
-  // Source-side residency is invariant across an item's edges: fetch it
-  // once per live lane instead of once per edge.
   for (std::uint64_t m = meta.bits; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::uint32_t>(std::countr_zero(m));
-    sc.lane_res[l] = have_resident ? opts.resident[block[l].src] : kInvalidNode;
-    sc.lane_edge_seg[l] = ~std::uint64_t{0};
+    sc.lane_edge_seg[std::countr_zero(m)] = ~std::uint64_t{0};
   }
   // Every step issues one warp instruction and occupies ws lane slots;
   // the walk below visits only the lanes live at each step.
@@ -88,9 +84,7 @@ void Engine::account_block(std::span<const WorkItem> items,
           ++edge_segs;
         }
       }
-      const bool resident_pair = sc.lane_res[l] != kInvalidNode &&
-                                 sc.lane_res[l] == opts.resident[v];
-      if (shared_attr || resident_pair) {
+      if (shared_attr) {
         ++shared_hits;
         // Bank-conflict bookkeeping: lanes hitting different words in
         // the same bank serialize; same-word hits broadcast for free.
@@ -143,8 +137,6 @@ void Engine::account_or_recall(std::span<const WorkItem> items,
     return;
   }
   const BlockMemo::Key key{meta.bits,
-                           opts.resident.data(),
-                           opts.resident.size(),
                            opts.edge_mode,
                            opts.attr_space,
                            opts.edges_resident,

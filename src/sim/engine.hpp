@@ -109,10 +109,6 @@ struct SweepOptions {
   /// Edge/weight arrays already staged into shared memory (cluster inner
   /// iterations after the first): edge traffic becomes shared accesses.
   bool edges_resident = false;
-  /// Cluster residency: resident[slot] == cluster id, kInvalidNode if not
-  /// resident. When src and dst share a cluster the attribute access is
-  /// served from shared memory (the latency technique's effect, §3).
-  std::span<const NodeId> resident = {};
   /// Count a weights-array stream alongside the edges array.
   bool weighted = false;
   /// Whether this sweep is its own kernel launch. Cluster inner
@@ -134,7 +130,6 @@ struct SweepScratch {
   // its Engine; pooling hands the blocks to the next Engine instead of
   // round-tripping through the kernel allocator (DESIGN.md §9).
   ArenaVector<std::uint64_t> lane_edge_seg;
-  ArenaVector<NodeId> lane_res;  // per-lane source residency cluster
   ArenaVector<NodeId> lane_dst;  // per-lane destination this warp step
   ArenaVector<NodeId> bank_word;
   ArenaVector<std::uint64_t> bank_epoch;
@@ -146,7 +141,6 @@ struct SweepScratch {
   void ensure(std::uint32_t warp_size, std::uint32_t banks) {
     if (lane_edge_seg.size() != warp_size) {
       lane_edge_seg.assign(warp_size, ~std::uint64_t{0});
-      lane_res.assign(warp_size, kInvalidNode);
       lane_dst.assign(warp_size, kInvalidNode);
     }
     bool rewound = false;
@@ -202,17 +196,15 @@ class Engine;
 /// account_block reads) and the 8 counters it added; a sweep whose block
 /// shows the same key adds those counters instead of recounting. The
 /// memo binds to its first (engine, list) pair and refuses any other:
-/// the list, and any `resident` array its sweeps name, must stay
-/// unchanged while the memo lives. Sharded accounting chunks own disjoint
-/// block ranges, so each entry has exactly one writer per sweep.
+/// the list must stay unchanged while the memo lives. Sharded accounting
+/// chunks own disjoint block ranges, so each entry has exactly one writer
+/// per sweep.
 class BlockMemo {
  private:
   friend class Engine;
 
   struct Key {
     std::uint64_t bits = 0;  // BlockMeta::bits
-    const NodeId* resident = nullptr;
-    std::size_t resident_size = 0;
     EdgeLoadMode edge_mode = EdgeLoadMode::Csr;
     AttrSpace attr_space = AttrSpace::Global;
     bool edges_resident = false;

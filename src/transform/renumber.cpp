@@ -156,7 +156,7 @@ RenumberResult renumber_bfs_forest(const Csr& graph, std::uint32_t k) {
 }
 
 Csr apply_renumbering(const Csr& graph, const RenumberResult& renumber) {
-  // Parallel permuted rebuild: per-slot degrees -> deterministic scan ->
+  // Parallel permuted rebuild: per-slot degrees -> serial scan ->
   // per-slot scatter. Each slot's edge range is fixed before the scatter,
   // so the output is identical for every thread count.
   const NodeId slots = renumber.num_slots;
@@ -169,7 +169,7 @@ Csr apply_renumbering(const Csr& graph, const RenumberResult& renumber) {
       offsets[s] = graph.degree(renumber.node_of_slot[s]);
     }
   });
-  parallel_exclusive_scan_inplace(std::span<EdgeId>(offsets));
+  exclusive_scan_inplace(std::span<EdgeId>(offsets));
 
   std::vector<NodeId> targets(graph.num_edges());
   std::vector<Weight> weights(graph.has_weights() ? graph.num_edges() : 0);

@@ -6,24 +6,20 @@
 #include <thread>
 #include <vector>
 
+#include <sched.h>
+
 #include "util/macros.hpp"
 
 namespace graffix {
 
 namespace {
 int g_override_threads = 0;
-/// Hardware default captured before the first override so that
-/// set_num_threads(0) can actually restore it (omp_get_max_threads()
-/// reflects any prior omp_set_num_threads, so it must be read before
-/// the first pin).
-int g_default_threads = 0;
 
 /// Set while a thread is executing pool tasks: permanently on pool
 /// worker threads, and on the caller for the duration of its own
-/// dispatch. in_parallel() reads this — omp_in_parallel() cannot see
-/// std::thread workers, and the nested-region guards (engine chunking,
-/// BC fan-out, prefix-sum policy) rely on in_parallel() being true
-/// inside pool task bodies.
+/// dispatch. in_parallel() reads this, and effective_workers() answers 1
+/// while it is set, so fan-outs nested in a task body (engine chunking,
+/// BC fan-out) run inline.
 thread_local bool tl_pool_worker = false;
 
 /// Persistent worker team behind the parallel_* wrappers.
@@ -33,8 +29,7 @@ thread_local bool tl_pool_worker = false;
 ///    the caller), parked on a condition variable between jobs, and
 ///    joined by the singleton's destructor at process exit — no
 ///    detached threads, and every synchronization edge goes through
-///    std primitives, so the pool is fully visible to TSan (unlike
-///    libgomp's futex barriers, which need tsan.supp).
+///    std primitives, so the pool is fully visible to TSan.
 ///  - A job is a stack-allocated descriptor published under the mutex;
 ///    `generation_` distinguishes it from the previous job for workers
 ///    that raced their wakeup. Task indices are claimed with an atomic
@@ -60,7 +55,7 @@ class WorkerPool {
                 void* ctx) {
     GRAFFIX_CHECK(!tl_pool_worker,
                   "pool dispatch from inside a pool task: nested parallel "
-                  "regions must serialize (check in_parallel())");
+                  "regions must serialize (size them by effective_workers())");
     // One job slot: independent top-level dispatchers (e.g. two user
     // threads each driving their own engine) queue here instead of
     // stomping each other's published job. Workers never take this lock.
@@ -182,23 +177,33 @@ class WorkerPool {
   bool shutdown_ = false;         // guarded by m_
 };
 
+/// CPU count of the process affinity mask, read once: the hardware
+/// default. std::thread::hardware_concurrency() would ignore the mask.
+int affinity_procs() {
+  static const int procs = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+    const int n = CPU_COUNT(&set);
+    return n > 0 ? n : 1;
+  }();
+  return procs;
+}
+
 }  // namespace
 
 int num_threads() {
   if (g_override_threads > 0) return g_override_threads;
-  return omp_get_max_threads();
+  return affinity_procs();
 }
 
-void set_num_threads(int n) {
-  if (g_default_threads == 0) g_default_threads = omp_get_max_threads();
-  g_override_threads = n > 0 ? n : 0;
-  omp_set_num_threads(n > 0 ? n : g_default_threads);
-}
+void set_num_threads(int n) { g_override_threads = n > 0 ? n : 0; }
 
-bool in_parallel() { return omp_in_parallel() != 0 || tl_pool_worker; }
+bool in_parallel() { return tl_pool_worker; }
 
 int effective_workers() {
-  const int procs = omp_get_num_procs();
+  if (tl_pool_worker) return 1;
+  const int procs = affinity_procs();
   const int threads = num_threads();
   return threads < procs ? threads : procs;
 }
@@ -213,8 +218,6 @@ void pool_dispatch(std::size_t n_tasks, int width, PoolTask task, void* ctx) {
   }
   WorkerPool::instance().dispatch(n_tasks, width, task, ctx);
 }
-
-bool pool_worker_active() noexcept { return tl_pool_worker; }
 
 int pool_spawned_for_test() noexcept { return WorkerPool::instance().spawned(); }
 

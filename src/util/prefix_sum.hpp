@@ -4,11 +4,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
-
-#include <omp.h>
-
-#include "util/parallel.hpp"
 
 namespace graffix {
 
@@ -36,45 +31,6 @@ T exclusive_scan(std::span<const T> in, std::span<T> out) {
   }
   if (out.size() > n) out[n] = running;
   return running;
-}
-
-/// Two-pass parallel exclusive scan for large arrays. Deterministic:
-/// result is independent of thread count.
-template <typename T>
-T parallel_exclusive_scan_inplace(std::span<T> values) {
-  const std::size_t n = values.size();
-  if (n < (1u << 14)) return exclusive_scan_inplace(values);
-
-  // Each member of the team owns exactly one chunk, so the partition
-  // count must equal the real team size — and capping it at
-  // effective_workers() keeps oversubscribed pools from splitting one
-  // core's work into context-switching fragments. The scan result is
-  // independent of the partition count either way.
-  const int threads = effective_workers();
-  std::vector<T> block_sums(static_cast<std::size_t>(threads) + 1, T{});
-  const std::size_t chunk = (n + threads - 1) / threads;
-
-#pragma omp parallel num_threads(threads)
-  {
-    const int t = omp_get_thread_num();
-    const std::size_t lo = std::min(static_cast<std::size_t>(t) * chunk, n);
-    const std::size_t hi = std::min(lo + chunk, n);
-    T local{};
-    for (std::size_t i = lo; i < hi; ++i) local += values[i];
-    block_sums[static_cast<std::size_t>(t) + 1] = local;
-#pragma omp barrier
-#pragma omp single
-    {
-      for (int b = 1; b <= threads; ++b) block_sums[b] += block_sums[b - 1];
-    }
-    T running = block_sums[static_cast<std::size_t>(t)];
-    for (std::size_t i = lo; i < hi; ++i) {
-      T next = running + values[i];
-      values[i] = running;
-      running = next;
-    }
-  }
-  return block_sums.back();
 }
 
 }  // namespace graffix

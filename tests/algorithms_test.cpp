@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "algorithms/bc.hpp"
-#include "algorithms/bfs.hpp"
 #include "algorithms/mst.hpp"
 #include "algorithms/pagerank.hpp"
 #include "algorithms/scc.hpp"
@@ -16,6 +15,7 @@
 #include "gen/rmat.hpp"
 #include "gen/road_grid.hpp"
 #include "graph/builder.hpp"
+#include "graph/properties.hpp"
 
 namespace graffix {
 namespace {
@@ -43,18 +43,10 @@ Csr small_rmat(std::uint32_t scale = 9) {
   return generate_rmat(p);
 }
 
-TEST(ParallelBfs, PathLevels) {
-  GraphBuilder b(5);
-  for (NodeId i = 0; i + 1 < 5; ++i) b.add_edge(i, i + 1);
-  Csr g = b.build();
-  const auto levels = parallel_bfs(g, 0);
-  for (NodeId i = 0; i < 5; ++i) EXPECT_EQ(levels[i], i);
-}
-
 TEST(ParallelBfs, MatchesSerialOnRmat) {
   Csr g = small_rmat();
-  const auto par = parallel_bfs(g, 0);
-  // Serial reference via Dijkstra on unit weights.
+  const auto levels = bfs_levels(g, 0);
+  // Independent reference via Dijkstra on unit weights.
   GraphBuilder b(g.num_nodes());
   for (NodeId u = 0; u < g.num_slots(); ++u) {
     for (NodeId v : g.neighbors(u)) b.add_edge(u, v);
@@ -63,9 +55,9 @@ TEST(ParallelBfs, MatchesSerialOnRmat) {
   const auto dist = sssp_dijkstra(unweighted, 0);
   for (NodeId v = 0; v < g.num_slots(); ++v) {
     if (dist[v] == kInfWeight) {
-      EXPECT_EQ(par[v], kInvalidNode) << v;
+      EXPECT_EQ(levels[v], kInvalidNode) << v;
     } else {
-      EXPECT_EQ(static_cast<Weight>(par[v]), dist[v]) << v;
+      EXPECT_EQ(static_cast<Weight>(levels[v]), dist[v]) << v;
     }
   }
 }

@@ -5,9 +5,12 @@
 // would otherwise serialize every template wrapper inline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
+
+#include <sched.h>
 
 #include "util/parallel.hpp"
 
@@ -17,7 +20,7 @@ namespace {
 struct DispatchProbe {
   std::vector<std::atomic<std::uint32_t>> hits;
   std::atomic<std::uint32_t> not_in_parallel{0};
-  std::atomic<std::uint32_t> not_pool_active{0};
+  std::atomic<std::uint32_t> wide{0};  // tasks that saw more than 1 worker
 
   explicit DispatchProbe(std::size_t n) : hits(n) {}
 };
@@ -28,22 +31,20 @@ void probe_task(void* ctx, std::size_t i) {
   // Every task — on a worker OR on the participating caller — runs
   // inside a parallel region as far as nesting guards are concerned.
   if (!in_parallel()) p->not_in_parallel.fetch_add(1);
-  if (!detail::pool_worker_active()) p->not_pool_active.fetch_add(1);
+  if (effective_workers() != 1) p->wide.fetch_add(1);
 }
 
 TEST(WorkerPool, DispatchRunsEveryIndexExactlyOnce) {
   constexpr std::size_t kTasks = 4096;
   DispatchProbe probe(kTasks);
-  ASSERT_FALSE(detail::pool_worker_active());
+  ASSERT_FALSE(in_parallel());
   detail::pool_dispatch(kTasks, /*width=*/4, probe_task, &probe);
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(probe.hits[i].load(), 1u) << "index " << i;
   }
   EXPECT_EQ(probe.not_in_parallel.load(), 0u);
-  EXPECT_EQ(probe.not_pool_active.load(), 0u);
   // The dispatch is a barrier: the caller's pool-participation flag must
   // be restored before control returns.
-  EXPECT_FALSE(detail::pool_worker_active());
   EXPECT_FALSE(in_parallel());
   // width 4 = caller + up to 3 pool workers, spawned lazily but spawned
   // for real — this is what puts the pool under the TSan shard.
@@ -69,13 +70,12 @@ TEST(WorkerPool, RedispatchReusesWorkers) {
 
 TEST(WorkerPool, SerialPathsSkipThePool) {
   // n_tasks <= 1 or width <= 1 runs inline on the caller with no
-  // parallel-region flag: a nested sweep sizing itself off in_parallel()
-  // must still see a serial context.
+  // parallel-region flag: nothing runs concurrently, so a sweep nested in
+  // such a task keeps the full width effective_workers() reports.
   DispatchProbe probe(1);
   detail::pool_dispatch(1, /*width=*/8, probe_task, &probe);
   EXPECT_EQ(probe.hits[0].load(), 1u);
   EXPECT_EQ(probe.not_in_parallel.load(), 1u);
-  EXPECT_EQ(probe.not_pool_active.load(), 1u);
 
   DispatchProbe narrow(16);
   detail::pool_dispatch(16, /*width=*/1, probe_task, &narrow);
@@ -91,10 +91,32 @@ struct NestedProbe {
   std::atomic<std::uint32_t> inner_escaped{0};
 };
 
+TEST(WorkerPool, EffectiveWorkersIsOneInsideATask) {
+  // The one width query: every task of a real dispatch — on a worker or
+  // on the participating caller — reads 1, so a fan-out nested in it
+  // runs inline. Outside a dispatch it reads min(num_threads(), procs),
+  // where procs is the CPU count of the process affinity mask.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const int procs = CPU_COUNT(&set);
+  EXPECT_EQ(num_threads(), procs);
+  EXPECT_EQ(effective_workers(), procs);
+  for (const int t : {1, 2, 8, 64}) {
+    const ScopedNumThreads pin(t);
+    EXPECT_EQ(effective_workers(), std::min(t, procs)) << "t=" << t;
+    DispatchProbe probe(64);
+    detail::pool_dispatch(64, /*width=*/2, probe_task, &probe);
+    EXPECT_EQ(probe.not_in_parallel.load(), 0u) << "t=" << t;
+    EXPECT_EQ(probe.wide.load(), 0u) << "t=" << t;
+    EXPECT_EQ(effective_workers(), std::min(t, procs)) << "t=" << t;
+  }
+}
+
 TEST(WorkerPool, NestedParallelTasksSerializeInsteadOfDeadlocking) {
   // parallel_tasks called from inside a pool task must run its body
-  // inline (in_parallel() guard): re-entering the pool from a worker
-  // would self-deadlock the team, and oversubscribing never helps
+  // inline (effective_workers() is 1 there): re-entering the pool from a
+  // worker would self-deadlock the team, and oversubscribing never helps
   // deterministic CPU-bound work. Completion of this test IS the
   // no-deadlock assertion.
   NestedProbe probe;
@@ -148,7 +170,7 @@ TEST(WorkerPool, TemplateWrappersStayDeterministic) {
   // exactly once regardless of thread setting (on a one-core box these
   // serialize inline; on CI they hit the pool — same contract).
   for (int t : {1, 2, 8}) {
-    set_num_threads(t);
+    const ScopedNumThreads pin(t);
     std::vector<std::atomic<std::uint32_t>> hits(1000);
     parallel_for(std::size_t{0}, std::size_t{1000},
                  [&](std::size_t i) { hits[i].fetch_add(1); });
@@ -162,7 +184,6 @@ TEST(WorkerPool, TemplateWrappersStayDeterministic) {
       EXPECT_EQ(dyn[i].load(), 1u) << "t=" << t << " i=" << i;
     }
   }
-  set_num_threads(0);
 }
 
 }  // namespace

@@ -51,10 +51,8 @@ constexpr std::size_t kWideChunkCounts[] = {1, 4, 4096};
 /// Pins the worker pool, runs fn, restores the hardware default.
 template <typename Fn>
 auto at_threads(int t, Fn&& fn) {
-  set_num_threads(t);
-  auto result = fn();
-  set_num_threads(0);
-  return result;
+  const ScopedNumThreads pin(t);
+  return fn();
 }
 
 NodeId busiest_node(const Csr& g) {
@@ -616,30 +614,24 @@ TEST(ReplayEquivalence, OrderSensitiveFunctorTakesSerialFallback) {
 // --- accounting memo: a warm memo equals a fresh engine ----------------
 
 /// One sweep of the memo schedule: which gate, and the options the memo
-/// keys on (`resident`: 0 = none, 1 and 2 = two same-size arrays, 3 = an
-/// empty span at array 1's address).
+/// keys on.
 struct MemoStep {
   int gate;
   bool edges_resident;
   bool weighted;
   bool shared_attr = false;
-  int resident = 0;
 };
 
 // Gates change and recur, edge residency and the weights stream flip on
-// and off, and the attribute space and residency array join the key.
-// Shared-attribute and resident sweeps repeat, so hits carry shared
-// accesses and bank conflicts too.
+// and off, and the attribute space joins the key. Shared-attribute
+// sweeps repeat, so hits carry shared accesses and bank conflicts too.
 constexpr MemoStep kMemoSchedule[] = {
-    {0, false, true},          {0, false, true},
-    {1, false, true},          {1, true, true},
-    {0, true, true},           {0, false, false},
-    {2, false, false},         {1, false, true},
-    {2, true, false},          {0, false, true, true},
-    {0, false, true, true},    {0, false, true, false, 1},
-    {0, false, true, false, 1}, {0, false, true, false, 2},
-    {0, false, true, false, 3}, {0, false, true, false, 1},
-    {1, false, true},
+    {0, false, true},       {0, false, true},
+    {1, false, true},       {1, true, true},
+    {0, true, true},        {0, false, false},
+    {2, false, false},      {1, false, true},
+    {2, true, false},       {0, false, true, true},
+    {0, false, true, true}, {1, false, true},
 };
 
 /// Items over every slot minus the last 3 (a partial tail warp at warp
@@ -673,14 +665,7 @@ void expect_warm_memo_matches_fresh(const Csr& g, std::uint32_t warp_size,
   sim::SimConfig config;
   config.warp_size = warp_size;
   const std::vector<sim::WorkItem> items = memo_items(g);
-  // Two residency arrays of one size, so only their address tells them
-  // apart in the key, and an empty span that shares an address with one.
-  std::vector<NodeId> resident[2];
-  for (NodeId s = 0; s < g.num_slots(); ++s) {
-    resident[0].push_back(s / 48);
-    resident[1].push_back(s / 16);
-  }
-  set_num_threads(threads);
+  const ScopedNumThreads pin(threads);
   sim::Engine warm(g, config);
   const sim::ScopedSweepChunks forced(warm, chunks);
   sim::BlockMemo memo;
@@ -693,10 +678,6 @@ void expect_warm_memo_matches_fresh(const Csr& g, std::uint32_t warp_size,
     opts.edges_resident = step.edges_resident;
     opts.weighted = step.weighted;
     if (step.shared_attr) opts.attr_space = sim::AttrSpace::Shared;
-    if (step.resident == 3) opts.resident = {resident[0].data(), 0};
-    if (step.resident == 1 || step.resident == 2) {
-      opts.resident = resident[step.resident - 1];
-    }
     const auto gate = [&](NodeId u) { return memo_gate(step.gate, u); };
     const auto relax = [](std::vector<double>& attr) {
       return [&attr](NodeId u, NodeId v, Weight w) {
@@ -723,7 +704,6 @@ void expect_warm_memo_matches_fresh(const Csr& g, std::uint32_t warp_size,
     expect_same_run({fresh_stats, fresh_attr}, {warm_stats, warm_attr}, what);
   }
   EXPECT_GT(bank_conflicts, 0u);
-  set_num_threads(0);
 }
 
 Csr without_weights(const Csr& g) {

@@ -14,11 +14,11 @@
 #include <thread>
 #include <vector>
 
-#include "algorithms/bfs.hpp"
 #include "algorithms/sssp.hpp"
 #include "core/runners.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
+#include "graph/properties.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
@@ -207,7 +207,7 @@ TEST(ServeProtocol, BfsLevelsMatchHostBfs) {
 
   // BFS levels are small integers, which %.17g renders exactly; the
   // isolated vertex 7 renders as "inf".
-  const std::vector<NodeId> levels = parallel_bfs(graph, 0);
+  const std::vector<NodeId> levels = bfs_levels(graph, 0);
   std::string want = "\"values\":[";
   const NodeId echo[] = {0, 1, 3, 5, 7};
   for (std::size_t i = 0; i < std::size(echo); ++i) {

@@ -117,25 +117,6 @@ TEST(Engine, IdealEdgeModeChargesOneEdgeTransactionPerStep) {
   EXPECT_GE(csr_stats.edge_transactions, 1u);
 }
 
-TEST(Engine, SharedResidencySkipsGlobalTransactions) {
-  // All sources and destinations in one resident cluster.
-  std::vector<NodeId> dsts(32);
-  for (NodeId i = 0; i < 32; ++i) dsts[i] = (i + 1) % 32;
-  Csr g = single_edge_graph(32, dsts);
-  Engine engine(g, test_config());
-  auto items = items_all_vertices(g);
-
-  std::vector<NodeId> resident(32, 0);  // every slot in cluster 0
-  SweepOptions opts;
-  opts.resident = resident;
-  KernelStats stats;
-  engine.sweep(items, opts, [](NodeId, NodeId, Weight) { return false; },
-               stats);
-  EXPECT_EQ(stats.attr_transactions, 0u);
-  EXPECT_EQ(stats.shared_accesses, 32u);
-  EXPECT_DOUBLE_EQ(stats.shared_fraction(), 1.0);
-}
-
 TEST(Engine, SharedAttrSpaceCountsAllAsShared) {
   std::vector<NodeId> dsts{1, 2, 3};
   Csr g = single_edge_graph(8, dsts);

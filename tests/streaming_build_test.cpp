@@ -45,17 +45,11 @@ const int kThreadCounts[] = {1, 2, 8};
 // (kGenBlock = 16384), 0 = whole stream in one span.
 const std::size_t kChunks[] = {1, 4096, 0};
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int n) { set_num_threads(n); }
-  ~ScopedThreads() { set_num_threads(0); }
-};
-
 template <typename Materialize, typename Stream>
 void run_matrix(Materialize&& materialize, Stream&& stream) {
   const Csr reference = materialize();
   for (int threads : kThreadCounts) {
-    ScopedThreads guard(threads);
+    const ScopedNumThreads pin(threads);
     for (std::size_t chunk : kChunks) {
       SCOPED_TRACE(testing::Message()
                    << "threads=" << threads << " chunk=" << chunk);

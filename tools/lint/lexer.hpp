@@ -7,7 +7,7 @@
 //
 // Faithful to translation phase 2: backslash-newline sequences are
 // spliced BEFORE any other scanning, so a continued `#pragma omp \`
-// directive is one logical line (the R1/R3 matching surface). The
+// directive is one logical line (the R1 matching surface). The
 // spliced content attributes to the first physical line; continued
 // physical lines yield empty entries so line numbering stays 1:1 with
 // the file. Splicing is suspended inside raw string literals, where the

@@ -39,8 +39,8 @@ bool path_ends_with(const std::string& path, std::string_view tail) {
 }
 
 struct Scope {
-  bool substrate_allowlisted;  // R1 allowlist; also exempt from R5/R6
-                               // (the substrate implements the channels)
+  bool substrate_allowlisted;  // exempt from R5/R6 (the substrate
+                               // implements the channels)
   bool in_src;                 // R2 applies
   bool timer_allowlisted;      // R2 wall-clock allowlist
   bool in_transform_or_sim;    // R4 applies
@@ -50,12 +50,10 @@ struct Scope {
 
 Scope scope_of(const std::string& path) {
   Scope s{};
-  // The substrate pair (header templates + the worker-pool translation
-  // unit behind them) plus the deterministic scan are the only places a
-  // raw omp pragma is a policy decision rather than a drive-by.
+  // The substrate pair: the header templates and the worker-pool
+  // translation unit behind them.
   s.substrate_allowlisted = path_contains(path, "util/parallel.hpp") ||
-                            path_contains(path, "util/parallel.cpp") ||
-                            path_contains(path, "util/prefix_sum.hpp");
+                            path_contains(path, "util/parallel.cpp");
   s.in_src = path_contains(path, "src/");
   s.timer_allowlisted = path_contains(path, "util/timer.hpp");
   s.in_transform_or_sim =
@@ -118,19 +116,6 @@ std::vector<std::string> unordered_container_names(const CodeIndex& idx) {
       ++p;
     }
     if (!name.empty() && name != "const") names.push_back(name);
-  }
-  return names;
-}
-
-/// Identifiers declared with a bare float/double type (heuristic; catches
-/// the scalar accumulators an omp reduction clause would name).
-std::vector<std::string> fp_scalar_names(const CodeIndex& idx) {
-  std::vector<std::string> names;
-  static const std::regex kDecl(R"(\b(?:double|float)\s+(\w+))");
-  const std::string& t = idx.text;
-  for (auto it = std::sregex_iterator(t.begin(), t.end(), kDecl);
-       it != std::sregex_iterator(); ++it) {
-    names.push_back((*it)[1].str());
   }
   return names;
 }
@@ -200,9 +185,7 @@ struct FileLint {
 
 const std::vector<std::string>& substrate_entry_points() {
   static const std::vector<std::string> kEntries = {
-      "parallel_for",        "parallel_for_dynamic",
-      "parallel_for_each_dynamic", "parallel_for_dynamic_any",
-      "parallel_append",     "parallel_tasks",
+      "parallel_tasks", "parallel_for", "parallel_for_dynamic",
       "pool_dispatch"};
   return kEntries;
 }
@@ -228,7 +211,7 @@ bool vector_not_arena(const std::string& type) {
 }
 
 /// Growth through a reference or pointer is charged to whoever owns the
-/// container (e.g. parallel_append's per-task segments, a caller-reserved
+/// container (e.g. a per-task segment the caller sized, a caller-reserved
 /// scratch buffer), not to the hot path holding the view.
 bool non_owning_type(const std::string& type) {
   return !type.empty() &&
@@ -423,16 +406,18 @@ using DiagFn = std::function<void(int, const char*, std::string)>;
 void rules_line_level(const Scope& scope,
                       const std::vector<ScannedLine>& lines,
                       const CodeIndex& idx, const DiagFn& diag) {
-  // --- R1: raw omp pragmas outside the substrate allowlist ----------------
-  if (!scope.substrate_allowlisted) {
+  // --- R1: no omp pragmas (any file) --------------------------------------
+  // The lexer splices backslash continuations, so a multi-line directive
+  // is already one logical line here.
+  {
     static const std::regex kOmp(R"(^[ \t]*#[ \t]*pragma[ \t]+omp\b)");
     for (std::size_t i = 0; i < lines.size(); ++i) {
       if (std::regex_search(lines[i].code, kOmp)) {
         diag(static_cast<int>(i) + 1, "R1",
-             "raw `#pragma omp` outside util/parallel.{hpp,cpp} / "
-             "util/prefix_sum.hpp; use the effective_workers()-clamped "
-             "wrappers (parallel_for[_dynamic], parallel_for_each_dynamic, "
-             "parallel_exclusive_scan_inplace)");
+             "`#pragma omp`: the worker pool is the only host parallel "
+             "runtime; use the effective_workers()-clamped wrappers in "
+             "util/parallel.hpp (parallel_tasks, parallel_for, "
+             "parallel_for_dynamic)");
       }
     }
   }
@@ -504,35 +489,6 @@ void rules_line_level(const Scope& scope,
                      "`; iteration order is implementation-defined and may "
                      "not feed any output (fix the order or certify with a "
                      "suppression)");
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  // --- R3: floating-point omp reduction (any file) ------------------------
-  // The lexer splices backslash continuations, so a multi-line directive
-  // is already one logical line here.
-  {
-    const std::vector<std::string> fp_names = fp_scalar_names(idx);
-    static const std::regex kPragma(R"(^[ \t]*#[ \t]*pragma[ \t]+omp\b)");
-    static const std::regex kReduction(R"(\breduction\s*\(([^)]*)\))");
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (!std::regex_search(lines[i].code, kPragma)) continue;
-      std::smatch m;
-      if (std::regex_search(lines[i].code, m, kReduction)) {
-        const std::string clause = m[1].str();
-        const auto colon = clause.find(':');
-        const std::string vars =
-            colon == std::string::npos ? clause : clause.substr(colon + 1);
-        for (const std::string& name : fp_names) {
-          if (contains_word(vars, name)) {
-            diag(static_cast<int>(i) + 1, "R3",
-                 "floating-point omp reduction over `" + name +
-                     "`: FP addition is not associative, so the team order "
-                     "changes the result; reduce serially over a "
-                     "deterministic per-block array instead");
             break;
           }
         }
@@ -1062,8 +1018,8 @@ Result lint_paths(const std::vector<std::string>& paths) {
 namespace {
 
 const std::vector<std::string>& all_rules() {
-  static const std::vector<std::string> kRules = {"R1", "R2", "R3", "R4",
-                                                  "R5", "R6", "R7"};
+  static const std::vector<std::string> kRules = {"R1", "R2", "R4", "R5",
+                                                  "R6", "R7"};
   return kRules;
 }
 

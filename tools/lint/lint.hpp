@@ -6,29 +6,25 @@
 // The checked rules (see DESIGN.md §8 for the authoritative table and
 // suppression etiquette):
 //
-//   R1  No raw `#pragma omp` outside the substrate allowlist
-//       (util/parallel.hpp, util/prefix_sum.hpp). All teams must go
-//       through the effective_workers()-clamped wrappers. Backslash-
-//       continued directives are spliced before matching.
+//   R1  No `#pragma omp` in any file: the worker pool behind the
+//       effective_workers()-clamped wrappers (util/parallel.hpp) is the
+//       only host parallel runtime. Backslash-continued directives are
+//       spliced before matching.
 //   R2  No nondeterminism sources in library code (src/): rand()-family
 //       calls, std::random_device, unseeded std::mt19937, wall-clock
 //       reads outside util/timer.hpp, and range-for over
 //       std::unordered_{map,set} (iteration order is
 //       implementation-defined, so it may never feed an output).
-//   R3  No floating-point `omp reduction` (any file, including the
-//       substrate): FP addition is not associative, so a team-order
-//       reduction over float/double is nondeterministic.
 //   R4  `std::sort` in src/transform/ and src/sim/ must be certified:
 //       tie order feeds the CSR layout, so every comparator must be a
 //       total order on element values (or the call migrated to
 //       std::stable_sort).
 //   R5  Parallel-capture safety: inside a lambda handed to the parallel
-//       substrate (parallel_for[_dynamic|_each_dynamic|_dynamic_any],
-//       parallel_tasks, parallel_append, pool_dispatch — plus anything
-//       those lambdas reach through same-TU calls, which covers the
-//       Engine helpers Phase A calls from its chunk tasks), a write to a
-//       class member, a by-reference capture, or a global is flagged
-//       unless it goes through a sanctioned channel: per-worker
+//       substrate (parallel_tasks, parallel_for[_dynamic], pool_dispatch
+//       — plus anything those lambdas reach through same-TU calls, which
+//       covers the Engine helpers Phase A calls from its chunk tasks), a
+//       write to a class member, a by-reference capture, or a global is
+//       flagged unless it goes through a sanctioned channel: per-worker
 //       SweepScratch, std::atomic, a held lock
 //       (scoped_lock/lock_guard/unique_lock in scope), or a slot
 //       subscripted by the task's own lambda parameter (the disjoint-
