@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/parallel.hpp"
 
@@ -136,48 +134,6 @@ NodeId pseudo_diameter(const Csr& graph, NodeId seed) {
     start = far_node;
   }
   return best;
-}
-
-NodeId induced_subgraph_diameter(const Csr& graph,
-                                 std::span<const NodeId> nodes) {
-  if (nodes.size() <= 1) return 0;
-  std::unordered_map<NodeId, NodeId> index;
-  index.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    index.emplace(nodes[i], static_cast<NodeId>(i));
-  }
-  const auto n = static_cast<NodeId>(nodes.size());
-  // Build local undirected adjacency.
-  std::vector<std::vector<NodeId>> adj(n);
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId v : graph.neighbors(nodes[i])) {
-      auto it = index.find(v);
-      if (it != index.end() && it->second != i) {
-        adj[i].push_back(it->second);
-        adj[it->second].push_back(i);
-      }
-    }
-  }
-  NodeId diameter = 0;
-  std::vector<NodeId> level(n);
-  std::vector<NodeId> queue(n);
-  for (NodeId src = 0; src < n; ++src) {
-    std::fill(level.begin(), level.end(), kInvalidNode);
-    level[src] = 0;
-    NodeId head = 0, tail = 0;
-    queue[tail++] = src;
-    while (head < tail) {
-      const NodeId u = queue[head++];
-      for (NodeId v : adj[u]) {
-        if (level[v] == kInvalidNode) {
-          level[v] = level[u] + 1;
-          diameter = std::max(diameter, level[v]);
-          queue[tail++] = v;
-        }
-      }
-    }
-  }
-  return diameter;
 }
 
 std::vector<NodeId> degree_histogram(const Csr& graph) {

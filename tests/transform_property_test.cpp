@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "gen/suite.hpp"
 #include "graph/csr.hpp"
 #include "transform/coalescing.hpp"
@@ -202,6 +203,32 @@ double recount_mean_cc(const Csr& g) {
   return n == 0 ? 0.0 : sum / n;
 }
 
+/// Nodes whose capped list lost a member: a neighbor among the input's
+/// first 64 that the output no longer has among its first 64.
+std::size_t count_capped_evictions(const Csr& input, const Csr& output) {
+  constexpr std::size_t kDegreeCap = 64;
+  const UndView before(input);
+  const UndView after(output);
+  std::size_t evicting = 0;
+  for (NodeId u = 0; u < input.num_slots(); ++u) {
+    const auto& old_row = before.rows[u];
+    const auto& new_row = after.rows[u];
+    const auto new_end =
+        new_row.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(new_row.size(), kDegreeCap));
+    for (std::size_t i = 0; i < std::min(old_row.size(), kDegreeCap); ++i) {
+      if (!std::binary_search(new_row.begin(), new_end, old_row[i],
+                              [](const auto& a, const auto& b) {
+                                return a.first < b.first;
+                              })) {
+        ++evicting;
+        break;
+      }
+    }
+  }
+  return evicting;
+}
+
 TEST(TransformProperty, LatencyMeanCcsEqualFullRecount) {
   // The transform derives the output CCs incrementally from the input's
   // link counts; a full recount must give the same doubles, bit for bit.
@@ -225,6 +252,25 @@ TEST(TransformProperty, LatencyMeanCcsEqualFullRecount) {
     }
   }
   EXPECT_GT(total_added, 0u);  // the output CCs must differ somewhere
+
+  // Scale 12 at each preset's resolved knobs: off the road grid, nodes
+  // with 64 or more neighbors gain neighbors that sort inside their first
+  // 64, so their capped lists evict members (27 to 585 nodes per preset
+  // at seed 11), and the incremental counts must follow that too.
+  for (const SuiteEntry& entry : make_suite(12, 11)) {
+    const LatencyKnobs knobs =
+        core::resolve_for_graph(core::ExperimentConfig{}, entry.preset)
+            .latency;
+    const LatencyResult result = latency_transform(entry.graph, knobs);
+    EXPECT_EQ(result.mean_cc_before, recount_mean_cc(entry.graph))
+        << entry.name << " scale 12";
+    EXPECT_EQ(result.mean_cc_after, recount_mean_cc(result.graph))
+        << entry.name << " scale 12";
+    if (preset_is_power_law(entry.preset)) {
+      EXPECT_GT(count_capped_evictions(entry.graph, result.graph), 0u)
+          << entry.name << " scale 12";
+    }
+  }
 }
 
 // --- replication -----------------------------------------------------
